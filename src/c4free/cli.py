@@ -52,10 +52,6 @@ def _sizes_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _vertex_list(text: str) -> list[int]:
-    return _sizes_list(text)
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -133,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--independent-set", type=_vertex_list, default=None)
+    p.add_argument("--independent-set", type=_sizes_list, default=None)
     p.add_argument(
         "--dirac",
         action="store_true",
@@ -288,6 +284,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except RecursionError:
+        print("error: recursion limit reached; retry with a lower --oracle-limit", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -66,7 +66,17 @@ def parse_graph(text: str, max_n: Optional[int] = CLI_VERTEX_LIMIT) -> Graph:
             f"header declared {header[1]} edges, found {len(edges)}",
             last_line_no + 1,
         )
-    return build_graph(header[0], edges)
+    g = build_graph(header[0], edges)
+    if g.edge_count != header[1]:
+        # Error path only: the data lines after the header are the edges.
+        lines = [no for no, raw in enumerate(text.splitlines(), start=1)
+                 if not raw.lstrip().startswith("#")]
+        seen: set[frozenset[int]] = set()
+        for line_no, (u, v) in zip(lines[1:], edges):
+            if frozenset((u, v)) in seen:
+                raise ParseError(f"duplicate edge {u} {v}", line_no)
+            seen.add(frozenset((u, v)))
+    return g
 
 
 def serialize_graph(g: Graph) -> str:

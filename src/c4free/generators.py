@@ -8,12 +8,15 @@ splitmix64 (pinned by name and version in suite configs) so the same
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .graph import (
+    FoundC4,
     Graph,
     GraphInputError,
     InvariantViolation,
+    _above,
+    _bit_indices,
     _scan_induced_c4,
     build_graph,
     find_induced_c4,
@@ -163,22 +166,65 @@ def random_c4free(n: int, p: Union[Fraction, float, str], seed: int) -> Graph:
     pair-scan detector finds an induced cycle (a, b, c, d) the edge
     (a, b) is deleted. Edge count strictly decreases per repair step, so
     the loop terminates; the bias of the repaired distribution is not
-    quantified.
+    quantified. After a deletion the scan resumes at row min(a, b, x),
+    x the least vertex of N(a) ∩ N(b) with a non-neighbour above it in
+    that set: only {a, b} and the non-adjacent pairs inside N(a) ∩ N(b)
+    can turn bad, so the deletions are those of a scan restarted at row 0.
     """
     prob = Fraction(p)
     if not (0 <= prob <= 1):
         raise GraphInputError(f"edge probability must be in [0, 1], got {prob}")
     if n < 0:
         raise GraphInputError(f"vertex count must be non-negative, got {n}")
-    adj = _sample_edge_masks(n, prob, seed)
-    edge_count = sum(row.bit_count() for row in adj) // 2
-    while True:
-        witness = _scan_induced_c4(adj, n)
-        if witness is None:
-            break
-        a, b = witness.a, witness.b
-        adj[a] &= ~(1 << b)
-        adj[b] &= ~(1 << a)
-        edge_count -= 1
-        assert edge_count >= 0
-    return Graph(n=n, adj=tuple(adj), edge_count=edge_count)
+    return _repair(_sample_edge_masks(n, prob, seed), n, _delete_edge)
+
+
+def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
+    """Complement of a random bipartite graph, repaired by chords.
+
+    While the scan finds an induced cycle (a, b, c, d) the chord (a, c) is
+    added: both sides stay cliques, so the complement stays bipartite, and
+    missing pairs strictly decrease, so the loop ends. The scan then resumes
+    at row min(a, y), y the least vertex of N(a) XOR N(c) other than a and
+    c, since only pairs joining a or c to that set gain a common neighbour.
+    """
+    rng = SplitMix64(seed)
+    half = Fraction(1, 2)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            same_side = bool(side_mask >> u & 1) == bool(side_mask >> v & 1)
+            if same_side or rng.chance(half):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return _repair(adj, n, _add_chord)
+
+
+def _repair(adj: list[int], n: int, fix: Callable[[list[int], FoundC4], int]) -> Graph:
+    # fix returns the first row its repair can have made bad. The loop ends
+    # only on a clean scan from row 0, so no output rests on that bound alone.
+    start = 0
+    while (witness := _scan_induced_c4(adj, n, start)) is not None:
+        start = fix(adj, witness)
+    if start and (witness := _scan_induced_c4(adj, n)) is not None:
+        raise InvariantViolation(f"repair resumed past the induced 4-cycle {witness.vertices}")
+    return Graph(n=n, adj=tuple(adj), edge_count=sum(row.bit_count() for row in adj) // 2)
+
+
+def _delete_edge(adj: list[int], witness: FoundC4) -> int:
+    a, b = witness.a, witness.b
+    adj[a] &= ~(1 << b)
+    adj[b] &= ~(1 << a)
+    common = adj[a] & adj[b]
+    for x in _bit_indices(common & ((1 << min(a, b)) - 1)):
+        if common & ~adj[x] & _above(x):
+            return x
+    return min(a, b)
+
+
+def _add_chord(adj: list[int], witness: FoundC4) -> int:
+    a, c = witness.a, witness.c
+    adj[a] |= 1 << c
+    adj[c] |= 1 << a
+    diff = (adj[a] ^ adj[c]) & ~(1 << a | 1 << c)
+    return min(a, (diff & -diff).bit_length() - 1) if diff else a

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 VertexSet = tuple[int, ...]
 
@@ -185,10 +185,10 @@ def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
     return cls.kind == "independent" or cls.also_independent
 
 
-def _scan_induced_c4(adj: list[int] | tuple[int, ...], n: int) -> Optional[FoundC4]:
-    # For each non-adjacent pair (u, v) in lexicographic order, look for a
-    # non-adjacent pair (p, q) inside N(u) ∩ N(v); first hit wins.
-    for u in range(n):
+def _scan_induced_c4(adj: Sequence[int], n: int, start: int = 0) -> Optional[FoundC4]:
+    # For each non-adjacent pair (u, v), u >= start, in lexicographic order,
+    # look for a non-adjacent pair (p, q) inside N(u) ∩ N(v); first hit wins.
+    for u in range(start, n):
         nonadj = ~adj[u] & _above(u) & ((1 << n) - 1) & ~(1 << u)
         for v in _bit_indices(nonadj):
             common = adj[u] & adj[v]

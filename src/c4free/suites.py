@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -27,6 +27,7 @@ from .extraction import (
 from .generators import (
     RNG_NAME,
     SplitMix64,
+    _co_bipartite_c4free,
     cycle_power,
     random_c4free,
     w5_blowup,
@@ -34,7 +35,6 @@ from .generators import (
 from .graph import (
     Graph,
     GraphInputError,
-    _scan_induced_c4,
     build_graph,
     classify_set,
     common_neighbors,
@@ -127,13 +127,14 @@ def run_suite(config: SuiteConfig) -> Report:
         raise GraphInputError(
             f"unknown suite {config.suite!r}; choose from {', '.join(SUITE_NAMES)}"
         )
+    if config.samples < 0:
+        raise GraphInputError(f"samples must be non-negative, got {config.samples}")
+    sampled = ("bounds-general", "bounds-triple", "large-alpha", "structure")
+    if config.suite in sampled and (config.samples == 0 or config.max_n < 5):
+        raise GraphInputError(f"suite {config.suite} needs samples >= 1 and max_n >= 5")
     report = Report(suite=config.suite, config=config.echo())
     runners[config.suite](config, report)
     return report
-
-
-def _ceil(value: Fraction) -> int:
-    return math.ceil(value)
 
 
 def _oracle_omega(g: Graph, limit: int) -> Optional[int]:
@@ -229,7 +230,7 @@ def _run_bounds_general(config: SuiteConfig, report: Report) -> None:
         delta = g.min_degree()
         cert = extract_general(g)
         omega = _oracle_omega(g, config.oracle_limit)
-        floor = _ceil(Fraction(delta * delta, 2 * g.n + delta))
+        floor = math.ceil(Fraction(delta * delta, 2 * g.n + delta))
         ok = (
             cert.verified
             and check_certificate(g, cert)
@@ -257,15 +258,7 @@ def _run_bounds_general(config: SuiteConfig, report: Report) -> None:
 
 def _run_bounds_triple(config: SuiteConfig, report: Report) -> None:
     produced = 0
-    corpus = _random_corpus(
-        SuiteConfig(
-            suite=config.suite,
-            seed=config.seed,
-            samples=config.samples * 8,
-            max_n=config.max_n,
-            oracle_limit=config.oracle_limit,
-        )
-    )
+    corpus = _random_corpus(replace(config, samples=config.samples * 8))
     for params, g in corpus:
         if produced >= config.samples:
             break
@@ -279,7 +272,7 @@ def _run_bounds_triple(config: SuiteConfig, report: Report) -> None:
         if cert.method == "triple":
             bound_ok = Fraction(cert.size) > bound
         else:
-            bound_ok = cert.size >= _ceil(Fraction(2 * g.n, 5))
+            bound_ok = cert.size >= math.ceil(Fraction(2 * g.n, 5))
         ok = (
             cert.verified
             and check_certificate(g, cert)
@@ -369,37 +362,12 @@ def _structure_instances(config: SuiteConfig) -> Iterator[tuple[dict, Graph]]:
                    "seed": inst_seed}, g
 
 
-def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
-    # Complement of a random bipartite graph, then chords are added until
-    # no induced 4-cycle remains. Adding the chord (a, c) of a found
-    # quadruple keeps both sides cliques, so the complement stays
-    # bipartite; missing pairs strictly decrease, so the loop ends.
-    rng = SplitMix64(seed)
-    half = Fraction(1, 2)
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            same_side = bool(side_mask >> u & 1) == bool(side_mask >> v & 1)
-            if same_side or rng.chance(half):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    while True:
-        witness = _scan_induced_c4(adj, n)
-        if witness is None:
-            break
-        a, c = witness.a, witness.c
-        adj[a] |= 1 << c
-        adj[c] |= 1 << a
-    edge_count = sum(row.bit_count() for row in adj) // 2
-    return Graph(n=n, adj=tuple(adj), edge_count=edge_count)
-
-
 def _run_structure(config: SuiteConfig, report: Report) -> None:
     for idx, (params, g) in enumerate(_structure_instances(config)):
         cert = alpha2_decompose(g)
         valid = verify_certificate(g, cert)
         clique = clique_from_certificate(g, cert)
-        floor = _ceil(Fraction(2 * g.n, 5))
+        floor = math.ceil(Fraction(2 * g.n, 5))
         ok = valid and is_clique(g, clique) and len(clique) >= floor
         record = {
             "id": f"structure-{idx:04d}",

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
-from c4free import parse_graph
+from c4free import parse_graph, serialize_graph
 from c4free.cli import main
-from helpers import cycle
+from helpers import complete, cycle
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +87,24 @@ class TestClique:
         code, _, err = run_cli(capsys, "clique", "exact", str(f), "--oracle-limit", "4")
         assert code == 2
         assert "oracle limit" in err
+
+    def test_recursion_limit_is_usage_error(self, capsys, tmp_path):
+        # The branch and bound recurses once per clique vertex; a limit just
+        # above the current depth stands in for a huge --oracle-limit.
+        f = tmp_path / "k60.txt"
+        f.write_text(serialize_graph(complete(60)))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            code = main(["clique", "exact", "--oracle-limit", "100", str(f)])
+        finally:
+            sys.setrecursionlimit(old_limit)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "--oracle-limit" in err
 
     def test_extract_auto_picks_regular(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
@@ -181,6 +200,12 @@ class TestVerify:
             )
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--max-n", "3"]])
+    def test_vacuous_config_usage_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "verify", "--suite", "bounds-general", *flags)
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")

@@ -56,9 +56,15 @@ class TestParse:
         g = parse_graph("5000 0", max_n=None)
         assert g.n == 5000
 
-    def test_duplicate_edge_lines_collapse(self):
-        g = parse_graph("4 3\n0 1\n0 1\n2 3")
-        assert g.edge_count == 2
+    def test_duplicate_edge_lines_rejected(self):
+        # A repeated pair, in either orientation, names its own line; the
+        # header count would otherwise disagree with the serialized one.
+        with pytest.raises(ParseError) as exc:
+            parse_graph("4 3\n0 1\n0 1\n2 3")
+        assert exc.value.line_no == 3
+        with pytest.raises(ParseError) as exc:
+            parse_graph("# c\n3 3\n0 1\n# c\n1 2\n1 0\n")
+        assert exc.value.line_no == 6
 
 
 class TestSerialize:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import c4free.generators as generators
 from c4free import (
     GraphInputError,
+    InvariantViolation,
     clique_substitution,
     cycle_power,
     find_induced_c4,
@@ -19,7 +21,8 @@ from c4free import (
     w5_base,
     w5_blowup,
 )
-from c4free.generators import SplitMix64, _sample_edge_masks
+from c4free.generators import SplitMix64, _co_bipartite_c4free, _sample_edge_masks
+from c4free.graph import _scan_induced_c4
 from helpers import cycle, path
 
 
@@ -183,3 +186,106 @@ class TestRandomC4Free:
         g = random_c4free(6, 1, 3)
         # p = 1 gives the complete graph, which has no induced 4-cycle.
         assert g.edge_count == 15
+
+
+def _restart_repair(adj, n, chord):
+    """Reference repair: rescan from row 0 after every fix.
+
+    A deletion toggles off the edge (a, b) of the witness, a chord toggles
+    on the missing pair (a, c).
+    """
+    adj = list(adj)
+    fixes = []
+    while (witness := _scan_induced_c4(adj, n)) is not None:
+        fixes.append(witness)
+        x, y = (witness.a, witness.c) if chord else (witness.a, witness.b)
+        adj[x] ^= 1 << y
+        adj[y] ^= 1 << x
+    return tuple(adj), fixes
+
+
+def _recorded(make):
+    """Run a generator; return its graph, its sampled adjacency and its fixes."""
+    real_repair = generators._repair
+    seen = {}
+
+    def recording_repair(adj, n, fix):
+        seen["sampled"] = list(adj)
+        seen["fixes"] = fixes = []
+
+        def recording_fix(adj, witness):
+            fixes.append(witness)
+            return fix(adj, witness)
+
+        return real_repair(adj, n, recording_fix)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_repair", recording_repair)
+        g = make()
+    return g, seen["sampled"], seen["fixes"]
+
+
+class TestResumedRepair:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=24),
+        k=st.integers(min_value=0, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_deletions_match_restarting_reference(self, n, k, seed):
+        g, sampled, fixes = _recorded(lambda: random_c4free(n, Fraction(k, 10), seed))
+        adj, ref_fixes = _restart_repair(sampled, n, chord=False)
+        assert fixes == ref_fixes
+        assert g.adj == adj
+        assert g.edge_count == sum(row.bit_count() for row in adj) // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=24),
+        side_mask=st.integers(min_value=0, max_value=2**24 - 1),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_chords_match_restarting_reference(self, n, side_mask, seed):
+        side_mask &= (1 << n) - 1
+        g, sampled, fixes = _recorded(lambda: _co_bipartite_c4free(n, side_mask, seed))
+        adj, ref_fixes = _restart_repair(sampled, n, chord=True)
+        assert fixes == ref_fixes
+        assert g.adj == adj
+        assert g.edge_count == sum(row.bit_count() for row in adj) // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=4, max_value=16),
+        k=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        chord=st.booleans(),
+    )
+    def test_no_new_witness_below_resume_row(self, n, k, seed, chord):
+        # The resume claim itself, checked after every fix of a full repair
+        # of an arbitrary sampled graph, chords included.
+        adj = _sample_edge_masks(n, Fraction(k, 10), seed)
+        fix = generators._add_chord if chord else generators._delete_edge
+        while (witness := _scan_induced_c4(adj, n)) is not None:
+            start = fix(adj, witness)
+            after = _scan_induced_c4(adj, n)
+            assert after is None or after.a >= start
+
+    @pytest.mark.parametrize(
+        "fix_name, make, chord",
+        [
+            ("_delete_edge", lambda: random_c4free(16, Fraction(1, 2), 1), False),
+            ("_add_chord", lambda: _co_bipartite_c4free(16, 0x00FF, 1), True),
+        ],
+    )
+    def test_wrong_resume_row_is_caught(self, monkeypatch, fix_name, make, chord):
+        _, sampled, _ = _recorded(make)
+        assert len(_restart_repair(sampled, 16, chord)[1]) >= 2
+        real_fix = getattr(generators, fix_name)
+
+        def skip_to_end(adj, witness):
+            real_fix(adj, witness)
+            return len(adj)
+
+        monkeypatch.setattr(generators, fix_name, skip_to_end)
+        with pytest.raises(InvariantViolation):
+            make()

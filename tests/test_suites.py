@@ -27,6 +27,24 @@ class TestRunSuite:
         with pytest.raises(GraphInputError):
             run_suite(_config("no-such-suite"))
 
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_negative_samples_rejected(self, suite):
+        with pytest.raises(GraphInputError):
+            run_suite(_config(suite, samples=-1))
+
+    @pytest.mark.parametrize(
+        "suite", ["bounds-general", "bounds-triple", "large-alpha", "structure"]
+    )
+    @pytest.mark.parametrize("overrides", [{"samples": 0}, {"max_n": 4}])
+    def test_vacuous_sampled_config_rejected(self, suite, overrides):
+        with pytest.raises(GraphInputError):
+            run_suite(_config(suite, **overrides))
+
+    def test_checker_equiv_accepts_zero_samples(self):
+        report = run_suite(_config("checker-equiv", samples=0, max_n=4))
+        assert report.all_passed()
+        assert [r["n"] for r in report.records] == [0, 1, 2, 3, 4]
+
     def test_cycle_powers_counts_follow_max_n(self):
         report = run_suite(_config("cycle-powers", max_n=25))
         assert len(report.records) == 6
