@@ -160,6 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    # The vertex count follows from the arguments, so an oversized graph is
+    # refused before it is built and scanned.
+    if args.generator == "cycle-power":
+        n = 4 * args.k + 1
+    elif args.generator == "random":
+        n = args.n
+    else:
+        n = sum(args.sizes)
+    if n > CLI_VERTEX_LIMIT:
+        raise GraphInputError(f"n={n} exceeds the vertex limit {CLI_VERTEX_LIMIT}")
     if args.generator == "cycle-power":
         g = cycle_power(args.k)
     elif args.generator == "w5":
@@ -168,13 +178,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         base = _load_graph(args.base)
         g = clique_substitution(base, args.sizes)
     else:
-        if args.n > CLI_VERTEX_LIMIT:
-            raise GraphInputError(f"n={args.n} exceeds the vertex limit {CLI_VERTEX_LIMIT}")
         g = random_c4free(args.n, args.p, args.seed)
-    if g.n > CLI_VERTEX_LIMIT:
-        raise GraphInputError(
-            f"generated graph has n={g.n}, above the vertex limit {CLI_VERTEX_LIMIT}"
-        )
     _write_text(args.o, serialize_graph(g))
     return EXIT_OK
 
@@ -278,7 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "structure":
             return _cmd_structure(args)
         return _cmd_verify(args)
-    except GraphInputError as exc:
+    except (GraphInputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:

@@ -66,7 +66,6 @@ class CliqueCertificate:
     method: str
     guaranteed_bound: Fraction
     precondition_met: bool
-    verified: bool
     witness: dict
 
     @property
@@ -83,7 +82,9 @@ class CliqueCertificate:
             "size": self.size,
             "guaranteed_bound": str(self.guaranteed_bound),
             "precondition_met": self.precondition_met,
-            "verified": self.verified,
+            # Kept for format_version 1 readers: a certificate that fails
+            # its checks is never built, the extractor raises instead.
+            "verified": True,
             "witness": self.witness,
         }
 
@@ -198,7 +199,6 @@ def extract_regular(g: Graph) -> CliqueCertificate:
             method=METHOD_STRUCTURE,
             guaranteed_bound=bound,
             precondition_met=True,
-            verified=True,
             witness=witness,
         )
 
@@ -257,7 +257,6 @@ def extract_regular(g: Graph) -> CliqueCertificate:
         method=METHOD_REGULAR,
         guaranteed_bound=bound,
         precondition_met=True,
-        verified=True,
         witness=witness,
     )
 
@@ -316,7 +315,6 @@ def extract_general(
             method=METHOD_GENERAL,
             guaranteed_bound=Fraction(0),
             precondition_met=True,
-            verified=True,
             witness={"route": "isolated-vertex", "min_degree": 0},
         )
 
@@ -397,7 +395,6 @@ def extract_general(
         method=METHOD_GENERAL,
         guaranteed_bound=bound,
         precondition_met=True,
-        verified=True,
         witness=witness,
     )
 
@@ -455,7 +452,6 @@ def extract_triple(g: Graph) -> CliqueCertificate:
             method=METHOD_TRIPLE,
             guaranteed_bound=bound,
             precondition_met=precondition_met,
-            verified=True,
             witness=witness,
         )
 
@@ -484,7 +480,6 @@ def extract_triple(g: Graph) -> CliqueCertificate:
         method=METHOD_STRUCTURE,
         guaranteed_bound=bound,
         precondition_met=precondition_met,
-        verified=True,
         witness=witness,
     )
 
@@ -573,7 +568,6 @@ def extract_large_alpha(
         method=METHOD_LARGE_ALPHA,
         guaranteed_bound=bound,
         precondition_met=pm,
-        verified=True,
         witness=witness,
     )
 
@@ -616,7 +610,6 @@ def extract_dirac(
         method=METHOD_LARGE_ALPHA,
         guaranteed_bound=bound,
         precondition_met=pm,
-        verified=True,
         witness=witness,
     )
 

@@ -296,58 +296,38 @@ def _color_order(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
     return order
 
 
-def _clique_number(adj: tuple[int, ...], start_mask: int) -> int:
-    best = 0
+def _clique_search(adj: tuple[int, ...], cand: int, beat: int, stop: int) -> int:
+    # Size of the largest clique inside cand when it exceeds beat, else beat.
+    # Branches that cannot beat the best size so far are cut by the greedy
+    # coloring bound, and the search ends once a clique of size stop is found.
+    if cand.bit_count() <= beat:
+        return beat
+    best = beat
 
-    def expand(size: int, cand: int) -> None:
+    def expand(size: int, mask: int) -> None:
         nonlocal best
-        if not cand:
+        if not mask or size >= stop:
             if size > best:
                 best = size
             return
-        order = _color_order(adj, cand)
+        order = _color_order(adj, mask)
         for v, bound in reversed(order):
             if size + bound <= best:
                 return
-            expand(size + 1, cand & adj[v])
-            cand &= ~(1 << v)
-
-    expand(0, start_mask)
-    return best
-
-
-def _has_clique(adj: tuple[int, ...], cand: int, need: int) -> bool:
-    if need <= 0:
-        return True
-    if cand.bit_count() < need:
-        return False
-    found = False
-
-    def expand(size: int, mask: int) -> None:
-        nonlocal found
-        if found:
-            return
-        if size >= need:
-            found = True
-            return
-        order = _color_order(adj, mask)
-        for v, bound in reversed(order):
-            if found or size + bound < need:
-                return
             expand(size + 1, mask & adj[v])
+            if best >= stop:
+                return
             mask &= ~(1 << v)
 
     expand(0, cand)
-    return found
+    return best
 
 
 def _lex_first_clique(adj: tuple[int, ...], cand: int, k: int) -> Optional[int]:
     # Lexicographically least k-clique inside cand, as a mask, or None.
     # Greedy prefix extension: each chosen vertex is the smallest whose
     # upward neighborhood still completes to the required size.
-    if k <= 0:
-        return 0
-    if not _has_clique(adj, cand, k):
+    if _clique_search(adj, cand, k - 1, k) < k:
         return None
     chosen = 0
     remaining = cand
@@ -355,11 +335,11 @@ def _lex_first_clique(adj: tuple[int, ...], cand: int, k: int) -> Optional[int]:
         need_rest = k - depth - 1
         for v in _bit_indices(remaining):
             nxt = remaining & adj[v] & _above(v)
-            if _has_clique(adj, nxt, need_rest):
+            if _clique_search(adj, nxt, need_rest - 1, need_rest) == need_rest:
                 chosen |= 1 << v
                 remaining = nxt
                 break
-        else:  # pragma: no cover - _has_clique said a completion exists
+        else:  # pragma: no cover - the search said a completion exists
             raise InvariantViolation("lexicographic clique extension lost its target")
     return chosen
 
@@ -368,15 +348,10 @@ def max_clique_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
     """Maximum clique by branch and bound; lexicographically least on ties."""
     if g.n > limit:
         raise OracleLimitError(f"oracle limit: n={g.n} exceeds limit {limit}")
-    omega = _clique_number(g.adj, g.full_mask)
+    omega = _clique_search(g.adj, g.full_mask, 0, g.n)
     mask = _lex_first_clique(g.adj, g.full_mask, omega)
     assert mask is not None
     return _to_vertexset(mask)
-
-
-def _complement_adj(g: Graph) -> tuple[int, ...]:
-    full = g.full_mask
-    return tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
 
 
 def max_independent_set_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
@@ -388,7 +363,7 @@ def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
     """Lexicographically least independent set of size exactly t, or None."""
     if t < 1:
         raise GraphInputError(f"size must be at least 1, got {t}")
-    mask = _lex_first_clique(_complement_adj(g), g.full_mask, t)
+    mask = _lex_first_clique(complement(g).adj, g.full_mask, t)
     return None if mask is None else _to_vertexset(mask)
 
 

@@ -18,6 +18,7 @@ from .graph import (
     InvariantViolation,
     OddCycle,
     VertexSet,
+    _mask_of,
     bipartition,
     complement,
     is_clique,
@@ -155,53 +156,46 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
         if cert.parts is None:
             return "complement-bipartite certificate is missing its parts"
         p1, p2 = cert.parts
-        issue = _check_partition(g, [p1, p2])
-        if issue:
-            return issue
-        for name, part in (("part 1", p1), ("part 2", p2)):
-            bad = _non_adjacent_pair_within(g, part)
-            if bad:
-                return f"{name} is not a clique: {bad[0]} and {bad[1]} are non-adjacent"
-        return None
-
-    if cert.kind == KIND_W5_SUBSTITUTION:
+        named = [("part 1", p1), ("part 2", p2)]
+    elif cert.kind == KIND_W5_SUBSTITUTION:
         if cert.hub is None or cert.cycle_groups is None or len(cert.cycle_groups) != 5:
             return "w5-substitution certificate is missing its six groups"
-        all_groups = [cert.hub, *cert.cycle_groups]
-        issue = _check_partition(g, all_groups)
-        if issue:
-            return issue
-        names = ["hub"] + [f"group {i + 1}" for i in range(5)]
-        for name, grp in zip(names, all_groups):
-            bad = _non_adjacent_pair_within(g, grp)
-            if bad:
-                return f"{name} is not a clique: {bad[0]} and {bad[1]} are non-adjacent"
-        for i in range(5):
-            bad = _missing_edge_between(g, cert.hub, cert.cycle_groups[i])
-            if bad:
-                return (
-                    f"hub vertex {bad[0]} is non-adjacent to group {i + 1} "
-                    f"vertex {bad[1]}"
-                )
-        for i in range(5):
-            j = (i + 1) % 5
-            bad = _missing_edge_between(g, cert.cycle_groups[i], cert.cycle_groups[j])
-            if bad:
-                return (
-                    f"group {i + 1} vertex {bad[0]} is non-adjacent to "
-                    f"group {j + 1} vertex {bad[1]}"
-                )
-        for i in range(5):
-            j = (i + 2) % 5
-            bad = _present_edge_between(g, cert.cycle_groups[i], cert.cycle_groups[j])
-            if bad:
-                return (
-                    f"group {i + 1} vertex {bad[0]} is adjacent to "
-                    f"group {j + 1} vertex {bad[1]}"
-                )
+        named = [("hub", cert.hub)]
+        named += [(f"group {i + 1}", grp) for i, grp in enumerate(cert.cycle_groups)]
+    else:
+        return f"unknown certificate kind {cert.kind!r}"
+
+    issue = _check_partition(g, [grp for _, grp in named])
+    if issue:
+        return issue
+    for name, grp in named:
+        bad = _first_pair(g, grp, grp, adjacent=False)
+        if bad:
+            return f"{name} is not a clique: {bad[0]} and {bad[1]} are non-adjacent"
+    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
         return None
 
-    return f"unknown certificate kind {cert.kind!r}"
+    for i in range(5):
+        bad = _first_pair(g, cert.hub, cert.cycle_groups[i], adjacent=False)
+        if bad:
+            return f"hub vertex {bad[0]} is non-adjacent to group {i + 1} vertex {bad[1]}"
+    for i in range(5):
+        j = (i + 1) % 5
+        bad = _first_pair(g, cert.cycle_groups[i], cert.cycle_groups[j], adjacent=False)
+        if bad:
+            return (
+                f"group {i + 1} vertex {bad[0]} is non-adjacent to "
+                f"group {j + 1} vertex {bad[1]}"
+            )
+    for i in range(5):
+        j = (i + 2) % 5
+        bad = _first_pair(g, cert.cycle_groups[i], cert.cycle_groups[j], adjacent=True)
+        if bad:
+            return (
+                f"group {i + 1} vertex {bad[0]} is adjacent to "
+                f"group {j + 1} vertex {bad[1]}"
+            )
+    return None
 
 
 def verify_certificate(g: Graph, cert: StructureCertificate) -> bool:
@@ -223,28 +217,17 @@ def _check_partition(g: Graph, groups: list) -> Optional[str]:
     return None
 
 
-def _non_adjacent_pair_within(g: Graph, grp) -> Optional[tuple[int, int]]:
-    members = sorted(grp)
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if not g.has_edge(u, v):
-                return (u, v)
-    return None
-
-
-def _missing_edge_between(g: Graph, a, b) -> Optional[tuple[int, int]]:
+def _first_pair(g: Graph, a, b, adjacent: bool) -> Optional[tuple[int, int]]:
+    # First pair (u, v) in ascending order, u in a, v in b, u != v, whose
+    # adjacency in g equals `adjacent`. Called with a == b and adjacent
+    # False it finds the first non-adjacent pair inside one group: the
+    # smallest member with a non-neighbor in the group comes first, and
+    # that non-neighbor cannot lie below it.
+    b_mask = _mask_of(b)
     for u in sorted(a):
-        for v in sorted(b):
-            if not g.has_edge(u, v):
-                return (u, v)
-    return None
-
-
-def _present_edge_between(g: Graph, a, b) -> Optional[tuple[int, int]]:
-    for u in sorted(a):
-        for v in sorted(b):
-            if g.has_edge(u, v):
-                return (u, v)
+        hits = b_mask & (g.adj[u] if adjacent else ~g.adj[u]) & ~(1 << u)
+        if hits:
+            return (u, (hits & -hits).bit_length() - 1)
     return None
 
 

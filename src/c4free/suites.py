@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 
 from . import __version__
 from .extraction import (
+    CliqueCertificate,
     check_certificate,
     degree_square_census,
     extract_general,
@@ -143,6 +144,88 @@ def _oracle_omega(g: Graph, limit: int) -> Optional[int]:
     return len(max_clique_exact(g, limit=limit))
 
 
+def _record(
+    record_id: str,
+    generator: dict,
+    *,
+    n: int,
+    min_degree: int,
+    method: str,
+    bound: str,
+    clique_size: int,
+    omega: Optional[int],
+    ok: bool,
+    witness_summary: dict,
+    repro: str,
+) -> dict:
+    """One report record; the repro command is kept only when the check failed."""
+    record = {
+        "id": record_id,
+        "generator": generator,
+        "n": n,
+        "min_degree": min_degree,
+        "method": method,
+        "bound": bound,
+        "clique_size": clique_size,
+        "omega": omega,
+        "pass": bool(ok),
+        "witness_summary": witness_summary,
+    }
+    if not ok:
+        record["repro"] = repro
+    return record
+
+
+def _add_certificate_record(
+    report: Report,
+    config: SuiteConfig,
+    record_id: str,
+    params: dict,
+    g: Graph,
+    cert: CliqueCertificate,
+    bound_ok: bool,
+    witness_summary: dict,
+    repro: str,
+    sharp: bool = False,
+) -> None:
+    """Record one extracted clique certificate.
+
+    It passes when the suite's own bound test holds, the certificate
+    re-checks against g, and, where the exact oracle applies, the clique
+    is no larger than the clique number (equal to it when sharp).
+    """
+    omega = _oracle_omega(g, config.oracle_limit)
+    omega_ok = omega is None or (cert.size == omega if sharp else cert.size <= omega)
+    ok = bound_ok and check_certificate(g, cert) and omega_ok
+    report.add(_record(
+        record_id, params, n=g.n, min_degree=g.min_degree(), method=cert.method,
+        bound=str(cert.guaranteed_bound), clique_size=cert.size, omega=omega, ok=ok,
+        witness_summary=witness_summary, repro=repro,
+    ))
+
+
+def _repro(params: dict, command: str) -> str:
+    """Pipeline that regenerates one instance and feeds it to command."""
+    if params["kind"] == "cycle-power":
+        gen = f"c4free gen cycle-power --k {params['k']}"
+    elif params["kind"] == "w5":
+        gen = "c4free gen w5 --sizes " + ",".join(str(s) for s in params["sizes"])
+    else:
+        gen = (
+            f"c4free gen random --n {params['n']} --p {params['p']} "
+            f"--seed {params['seed']}"
+        )
+    return f"{gen} | {command} -"
+
+
+def _rerun_repro(config: SuiteConfig, samples: int, max_n: int) -> str:
+    """Command that reruns the suite, for instances with no generator command."""
+    return (
+        f"c4free verify --suite {config.suite} --seed {config.seed} "
+        f"--samples {samples} --max-n {max_n}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Random corpus shared by the bound suites
 # ---------------------------------------------------------------------------
@@ -178,14 +261,6 @@ def _random_corpus(config: SuiteConfig) -> Iterator[tuple[dict, Graph]]:
         yield params, g
 
 
-def _random_repro(params: dict, extract_cmd: str) -> str:
-    gen = (
-        f"c4free gen random --n {params['n']} --p {params['p']} "
-        f"--seed {params['seed']}"
-    )
-    return f"{gen} | {extract_cmd} -"
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -198,62 +273,26 @@ def _run_cycle_powers(config: SuiteConfig, report: Report) -> None:
     for k in range(1, max_k + 1):
         g = cycle_power(k)
         cert = extract_regular(g)
-        omega = _oracle_omega(g, config.oracle_limit)
-        ok = (
-            cert.verified
-            and check_certificate(g, cert)
-            and cert.size == k + 1
-            and (omega is None or omega == k + 1)
+        params = {"kind": "cycle-power", "k": k}
+        _add_certificate_record(
+            report, config, f"cycle-powers-{k:03d}", params, g, cert,
+            bound_ok=cert.size == k + 1,
+            witness_summary={"route": cert.witness.get("route")},
+            repro=_repro(params, "c4free clique extract --method regular"),
+            sharp=True,
         )
-        record = {
-            "id": f"cycle-powers-{k:03d}",
-            "generator": {"kind": "cycle-power", "k": k},
-            "n": g.n,
-            "min_degree": g.min_degree(),
-            "method": cert.method,
-            "bound": str(cert.guaranteed_bound),
-            "clique_size": cert.size,
-            "omega": omega,
-            "pass": bool(ok),
-            "witness_summary": {"route": cert.witness.get("route")},
-        }
-        if not ok:
-            record["repro"] = (
-                f"c4free gen cycle-power --k {k} | "
-                "c4free clique extract --method regular -"
-            )
-        report.add(record)
 
 
 def _run_bounds_general(config: SuiteConfig, report: Report) -> None:
     for idx, (params, g) in enumerate(_random_corpus(config)):
         delta = g.min_degree()
         cert = extract_general(g)
-        omega = _oracle_omega(g, config.oracle_limit)
-        floor = math.ceil(Fraction(delta * delta, 2 * g.n + delta))
-        ok = (
-            cert.verified
-            and check_certificate(g, cert)
-            and cert.size >= floor
-            and (omega is None or cert.size <= omega)
+        _add_certificate_record(
+            report, config, f"bounds-general-{idx:04d}", params, g, cert,
+            bound_ok=cert.size >= math.ceil(Fraction(delta * delta, 2 * g.n + delta)),
+            witness_summary={"route": cert.witness.get("route")},
+            repro=_repro(params, "c4free clique extract --method general"),
         )
-        record = {
-            "id": f"bounds-general-{idx:04d}",
-            "generator": params,
-            "n": g.n,
-            "min_degree": delta,
-            "method": cert.method,
-            "bound": str(cert.guaranteed_bound),
-            "clique_size": cert.size,
-            "omega": omega,
-            "pass": bool(ok),
-            "witness_summary": {"route": cert.witness.get("route")},
-        }
-        if not ok:
-            record["repro"] = _random_repro(
-                params, "c4free clique extract --method general"
-            )
-        report.add(record)
 
 
 def _run_bounds_triple(config: SuiteConfig, report: Report) -> None:
@@ -267,35 +306,16 @@ def _run_bounds_triple(config: SuiteConfig, report: Report) -> None:
             continue
         produced += 1
         cert = extract_triple(g)
-        omega = _oracle_omega(g, config.oracle_limit)
-        bound = Fraction(delta) - Fraction(g.n, 3)
         if cert.method == "triple":
-            bound_ok = Fraction(cert.size) > bound
+            bound_ok = Fraction(cert.size) > Fraction(delta) - Fraction(g.n, 3)
         else:
             bound_ok = cert.size >= math.ceil(Fraction(2 * g.n, 5))
-        ok = (
-            cert.verified
-            and check_certificate(g, cert)
-            and bound_ok
-            and (omega is None or cert.size <= omega)
+        _add_certificate_record(
+            report, config, f"bounds-triple-{produced - 1:04d}", params, g, cert,
+            bound_ok=bound_ok,
+            witness_summary={"route": cert.witness.get("route")},
+            repro=_repro(params, "c4free clique extract --method triple"),
         )
-        record = {
-            "id": f"bounds-triple-{produced - 1:04d}",
-            "generator": params,
-            "n": g.n,
-            "min_degree": delta,
-            "method": cert.method,
-            "bound": str(cert.guaranteed_bound),
-            "clique_size": cert.size,
-            "omega": omega,
-            "pass": bool(ok),
-            "witness_summary": {"route": cert.witness.get("route")},
-        }
-        if not ok:
-            record["repro"] = _random_repro(
-                params, "c4free clique extract --method triple"
-            )
-        report.add(record)
 
 
 def _run_large_alpha(config: SuiteConfig, report: Report) -> None:
@@ -307,42 +327,23 @@ def _run_large_alpha(config: SuiteConfig, report: Report) -> None:
         )
         cs_ok = Fraction(census["sum_deg_sq"]) >= census["cs_floor"]
         cert = extract_large_alpha(g, s, config.epsilon)
-        omega = _oracle_omega(g, config.oracle_limit)
         conditional_ok = (not cert.precondition_met) or (
             Fraction(cert.size) >= cert.guaranteed_bound
         )
-        ok = (
-            identity_ok
-            and cs_ok
-            and conditional_ok
-            and cert.verified
-            and check_certificate(g, cert)
-            and (omega is None or cert.size <= omega)
-        )
-        record = {
-            "id": f"large-alpha-{idx:04d}",
-            "generator": params,
-            "n": g.n,
-            "min_degree": g.min_degree(),
-            "method": cert.method,
-            "bound": str(cert.guaranteed_bound),
-            "clique_size": cert.size,
-            "omega": omega,
-            "pass": bool(ok),
-            "witness_summary": {
+        _add_certificate_record(
+            report, config, f"large-alpha-{idx:04d}", params, g, cert,
+            bound_ok=identity_ok and cs_ok and conditional_ok,
+            witness_summary={
                 "t": len(s),
                 "identity": identity_ok,
                 "cauchy_schwarz": cs_ok,
                 "precondition_met": cert.precondition_met,
             },
-        }
-        if not ok:
-            record["repro"] = _random_repro(
+            repro=_repro(
                 params,
-                f"c4free clique extract --method large-alpha "
-                f"--epsilon {config.epsilon}",
-            )
-        report.add(record)
+                f"c4free clique extract --method large-alpha --epsilon {config.epsilon}",
+            ),
+        )
 
 
 def _structure_instances(config: SuiteConfig) -> Iterator[tuple[dict, Graph]]:
@@ -369,28 +370,16 @@ def _run_structure(config: SuiteConfig, report: Report) -> None:
         clique = clique_from_certificate(g, cert)
         floor = math.ceil(Fraction(2 * g.n, 5))
         ok = valid and is_clique(g, clique) and len(clique) >= floor
-        record = {
-            "id": f"structure-{idx:04d}",
-            "generator": params,
-            "n": g.n,
-            "min_degree": g.min_degree(),
-            "method": cert.kind,
-            "bound": str(Fraction(2 * g.n, 5)),
-            "clique_size": len(clique),
-            "omega": _oracle_omega(g, config.oracle_limit),
-            "pass": bool(ok),
-            "witness_summary": {"kind": cert.kind},
-        }
-        if not ok:
-            if params["kind"] == "w5":
-                sizes = ",".join(str(s) for s in params["sizes"])
-                record["repro"] = f"c4free gen w5 --sizes {sizes} | c4free structure -"
-            else:
-                record["repro"] = (
-                    f"c4free verify --suite structure --seed {config.seed} "
-                    f"--samples {config.samples} --max-n {config.max_n}"
-                )
-        report.add(record)
+        if params["kind"] == "w5":
+            repro = _repro(params, "c4free structure")
+        else:
+            repro = _rerun_repro(config, config.samples, config.max_n)
+        report.add(_record(
+            f"structure-{idx:04d}", params, n=g.n, min_degree=g.min_degree(),
+            method=cert.kind, bound=str(Fraction(2 * g.n, 5)), clique_size=len(clique),
+            omega=_oracle_omega(g, config.oracle_limit), ok=ok,
+            witness_summary={"kind": cert.kind}, repro=repro,
+        ))
 
 
 def _all_graphs(n: int) -> Iterator[Graph]:
@@ -412,24 +401,12 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
             checked += 1
             if not _detectors_agree(g):
                 disagreements += 1
-        record = {
-            "id": f"checker-equiv-exhaustive-n{n}",
-            "generator": {"kind": "exhaustive", "n": n},
-            "n": n,
-            "min_degree": 0,
-            "method": "detector-agreement",
-            "bound": "0",
-            "clique_size": 0,
-            "omega": None,
-            "pass": disagreements == 0,
-            "witness_summary": {"graphs_checked": checked},
-        }
-        if disagreements:
-            record["repro"] = (
-                f"c4free verify --suite checker-equiv --seed {config.seed} "
-                f"--samples 0 --max-n {n}"
-            )
-        report.add(record)
+        report.add(_record(
+            f"checker-equiv-exhaustive-n{n}", {"kind": "exhaustive", "n": n},
+            n=n, min_degree=0, method="detector-agreement", bound="0",
+            clique_size=0, omega=None, ok=disagreements == 0,
+            witness_summary={"graphs_checked": checked}, repro=_rerun_repro(config, 0, n),
+        ))
 
     rng = SplitMix64(config.seed)
     for idx in range(config.samples):
@@ -444,25 +421,14 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
             if inner.chance(p)
         ]
         g = build_graph(n, edges)
-        ok = _detectors_agree(g)
-        record = {
-            "id": f"checker-equiv-random-{idx:04d}",
-            "generator": {"kind": "raw-random", "n": n, "p": str(p), "seed": inst_seed},
-            "n": n,
-            "min_degree": g.min_degree(),
-            "method": "detector-agreement",
-            "bound": "0",
-            "clique_size": 0,
-            "omega": None,
-            "pass": bool(ok),
-            "witness_summary": {"edges": g.edge_count},
-        }
-        if not ok:
-            record["repro"] = (
-                f"c4free verify --suite checker-equiv --seed {config.seed} "
-                f"--samples {config.samples} --max-n {config.max_n}"
-            )
-        report.add(record)
+        report.add(_record(
+            f"checker-equiv-random-{idx:04d}",
+            {"kind": "raw-random", "n": n, "p": str(p), "seed": inst_seed},
+            n=n, min_degree=g.min_degree(), method="detector-agreement", bound="0",
+            clique_size=0, omega=None, ok=_detectors_agree(g),
+            witness_summary={"edges": g.edge_count},
+            repro=_rerun_repro(config, config.samples, config.max_n),
+        ))
 
 
 def _detectors_agree(g: Graph) -> bool:

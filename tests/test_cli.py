@@ -48,6 +48,34 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv, generator",
+        [
+            (["cycle-power", "--k", "1024"], "cycle_power"),
+            (["w5", "--sizes", "3997,20,20,20,20,20"], "w5_blowup"),
+            (["substitute", "--base", "BASE", "--sizes", "4000,97"], "clique_substitution"),
+        ],
+    )
+    def test_size_cap_checked_before_building(
+        self, capsys, monkeypatch, tmp_path, argv, generator
+    ):
+        def refuse(*args):
+            raise AssertionError("graph built despite the vertex limit")
+
+        base = tmp_path / "base.txt"
+        base.write_text("2 1\n0 1\n")
+        monkeypatch.setattr(f"c4free.cli.{generator}", refuse)
+        argv = [str(base) if arg == "BASE" else arg for arg in argv]
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 2
+        assert out == "" and err == "error: n=4097 exceeds the vertex limit 4096\n"
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "g.txt"
+        code, out, err = run_cli(capsys, "gen", "cycle-power", "--k", "2", "-o", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCheck:
     def test_c4free_graph(self, capsys, tmp_path):
@@ -70,6 +98,19 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "c4free", str(f))
         assert code == 2
         assert "line 2" in err
+
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "check", "c4free", str(tmp_path / "missing.txt"))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.txt" in err
+
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"\xff\xfe 1 0\n")
+        code, out, err = run_cli(capsys, "check", "c4free", str(f))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestClique:
@@ -206,6 +247,17 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", "bounds-general", *flags)
         assert code == 2
         assert out == "" and err.count("\n") == 1
+
+    def test_unwritable_json_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "report.json"
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--suite", "cycle-powers", "--samples", "1", "--max-n", "9",
+            "--json", str(target),
+        )
+        assert code == 2
+        assert out == "cycle-powers: 2/2 pass\n"
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from c4free import suites
 from c4free.suites import SuiteConfig, run_suite
 
 GOLDEN = {
@@ -19,9 +20,56 @@ GOLDEN = {
     "structure": "916a2e3788ebcc63c9c7ca00bf313dee25a7f939bb58c26f7742014034c4836b",
 }
 
+# The two suites whose record count does not follow --samples, at the same
+# config: (records, hash).
+GOLDEN_UNSAMPLED = {
+    "cycle-powers": (7, "1571101e13412979b32649c487dfd4ef80eac3d5fd09011a1260428f4d73bc56"),
+    "checker-equiv": (37, "a670358ddc0ba1fbba5aea8aba5849e7061d660cbe77c5a82e819b2af0de966f"),
+}
+
+# Reports with the suite's own check forced to fail, so that every record
+# fails and carries its repro command: the name in c4free.suites that is
+# replaced, the value the replacement returns, samples, max-n, hash.
+GOLDEN_FAILING = {
+    "cycle-powers": ("check_certificate", False, 30, 30,
+                     "5904f18b1fa58d9ee30c276a3e9bd64d3e75da80c29aa28ff65684976ba80541"),
+    "bounds-general": ("check_certificate", False, 10, 20,
+                       "40c5715f31fb7a219ae86bc69404b92941adcc6536494f290f9d051b6b59d7c6"),
+    "bounds-triple": ("check_certificate", False, 10, 20,
+                      "39657bdc5b6fc790ad7e8cb75c7b5dd591befa4845bf271c04265cefc0b53da0"),
+    "large-alpha": ("check_certificate", False, 10, 20,
+                    "92b41df5612130b4a81264dcc513a6dd6e7b40d234444c4a24dc032f9e40066e"),
+    "structure": ("verify_certificate", False, 10, 20,
+                  "68a4a880f7572093719f62bff9d8c1b634a85b52e6a2df53f5ca7ea83a377b23"),
+    "checker-equiv": ("has_induced_c4_naive", True, 10, 5,
+                      "40b1ece5ece7e1c938d340f4b197ba9e6825d4dd39260d3b9f2d28f3e9626d75"),
+}
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN))
 def test_report_hash(suite):
     report = run_suite(SuiteConfig(suite=suite, seed=1, samples=30, max_n=30))
     assert report.all_passed() and len(report.records) == 30
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == GOLDEN[suite]
+    assert _digest(report) == GOLDEN[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_UNSAMPLED))
+def test_unsampled_report_hash(suite):
+    records, digest = GOLDEN_UNSAMPLED[suite]
+    report = run_suite(SuiteConfig(suite=suite, seed=1, samples=30, max_n=30))
+    assert report.all_passed() and len(report.records) == records
+    assert _digest(report) == digest
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_FAILING))
+def test_failing_report_hash(suite, monkeypatch):
+    name, result, samples, max_n, digest = GOLDEN_FAILING[suite]
+    monkeypatch.setattr(suites, name, lambda *args: result)
+    report = run_suite(SuiteConfig(suite=suite, seed=1, samples=samples, max_n=max_n))
+    assert report.passed == 0 and report.failed == len(report.records) > 0
+    assert all(record["repro"].startswith("c4free ") for record in report.records)
+    assert _digest(report) == digest

@@ -160,3 +160,38 @@ class TestDichotomyOverFamilies:
             assert verify_certificate(g, cert)
             clique = clique_from_certificate(g, cert)
             assert len(clique) >= math.ceil(Fraction(2 * g.n, 5))
+
+
+class TestViolationMessages:
+    # One tampered certificate per check, each with more than one offending
+    # pair; the message names the first pair in ascending order.
+    W5 = w5_blowup([2, 3, 3, 3, 3, 3])  # hub 0-1, groups of three from 2 up
+    G1, G2, G3, G4, G5 = (2, 3, 4), (5, 6, 7), (8, 9, 10), (11, 12, 13), (14, 15, 16)
+
+    @pytest.mark.parametrize(
+        "hub, groups, message",
+        [
+            ((1,), ((0, 5, 12, 13), G1, (6, 7), G3, (11, 14, 15, 16)),
+             "group 1 is not a clique: 5 and 12 are non-adjacent"),
+            ((0, 2, 3), ((1, 4), G2, G3, G4, G5),
+             "hub vertex 2 is non-adjacent to group 3 vertex 8"),
+            ((1,), ((0, 2, 3, 4), G3, G2, G4, G5),
+             "group 1 vertex 2 is non-adjacent to group 2 vertex 8"),
+            ((0,), (G1, G2, (1, 8, 9, 10), G4, G5),
+             "group 1 vertex 2 is adjacent to group 3 vertex 1"),
+        ],
+        ids=["group-not-clique", "hub-missing-edge", "consecutive-missing-edge",
+             "non-consecutive-edge"],
+    )
+    def test_w5_substitution_messages(self, hub, groups, message):
+        cert = StructureCertificate(kind=KIND_W5_SUBSTITUTION, hub=hub, cycle_groups=groups)
+        assert find_certificate_violation(self.W5, cert) == message
+
+    def test_part_not_a_clique_message(self):
+        two_triangles = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        cert = StructureCertificate(
+            kind=KIND_COMPLEMENT_BIPARTITE, parts=((0, 1), (2, 3, 4, 5))
+        )
+        assert find_certificate_violation(two_triangles, cert) == (
+            "part 2 is not a clique: 2 and 3 are non-adjacent"
+        )
