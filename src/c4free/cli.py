@@ -7,6 +7,7 @@ was violated, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -53,10 +54,14 @@ def _sizes_list(text: str) -> list[int]:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        name = "<stdin>" if path == "-" else path
+        raise GraphInputError(f"{name}: {exc}") from exc
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -259,13 +264,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         oracle_limit=args.oracle_limit,
         epsilon=args.epsilon,
     )
-    report = run_suite(config)
-    print(f"{report.suite}: {report.passed}/{len(report.records)} pass")
-    for record in report.records:
-        if not record["pass"]:
-            print(f"FAIL {record['id']}: repro: {record['repro']}")
-    if args.json:
-        _write_text(args.json, report.to_json())
+    # The report file is opened before the suite runs, so a bad path costs no
+    # suite work; append mode keeps an existing file until the report is written.
+    with contextlib.ExitStack() as stack:
+        if args.json not in (None, "-"):
+            sink = stack.enter_context(open(args.json, "a", encoding="utf-8"))
+        report = run_suite(config)
+        print(f"{report.suite}: {report.passed}/{len(report.records)} pass")
+        for record in report.records:
+            if not record["pass"]:
+                print(f"FAIL {record['id']}: repro: {record['repro']}")
+        if args.json == "-":
+            sys.stdout.write(report.to_json())
+        elif args.json:
+            sink.truncate(0)
+            sink.write(report.to_json())
     return EXIT_OK if report.all_passed() else EXIT_FAIL
 
 
@@ -282,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "structure":
             return _cmd_structure(args)
         return _cmd_verify(args)
-    except (GraphInputError, OSError, UnicodeDecodeError) as exc:
+    except (GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:

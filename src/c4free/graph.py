@@ -188,17 +188,47 @@ def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
 def _scan_induced_c4(adj: Sequence[int], n: int, start: int = 0) -> Optional[FoundC4]:
     # For each non-adjacent pair (u, v), u >= start, in lexicographic order,
     # look for a non-adjacent pair (p, q) inside N(u) ∩ N(v); first hit wins.
+    # Each common neighbourhood found to be a clique is grown greedily, in
+    # ascending order, to a maximal clique inside N(u) and kept for the row.
+    # A later common neighbourhood inside a kept clique holds no non-adjacent
+    # pair, so skipping it leaves the first witness unchanged.
+    full = (1 << n) - 1
     for u in range(start, n):
-        nonadj = ~adj[u] & _above(u) & ((1 << n) - 1) & ~(1 << u)
-        for v in _bit_indices(nonadj):
-            common = adj[u] & adj[v]
-            if common.bit_count() < 2:
+        row = adj[u]
+        nonadj = full & ~row & (-1 << (u + 1))
+        cliques: list[int] = []
+        while nonadj:
+            low = nonadj & -nonadj
+            nonadj ^= low
+            v = low.bit_length() - 1
+            common = row & adj[v]
+            if not common & (common - 1):
                 continue
-            for p in _bit_indices(common):
-                cand = common & ~adj[p] & _above(p)
-                if cand:
-                    q = (cand & -cand).bit_length() - 1
-                    return FoundC4(u, p, v, q)
+            for clique in cliques:
+                if not common & ~clique:
+                    break
+            else:
+                # Members above p are the only candidates for q, so the
+                # last member is never tested.
+                rest = common
+                grow = row
+                while True:
+                    bit = rest & -rest
+                    rest ^= bit
+                    p = bit.bit_length() - 1
+                    grow &= adj[p]
+                    if not rest:
+                        break
+                    cand = rest & ~adj[p]
+                    if cand:
+                        q = (cand & -cand).bit_length() - 1
+                        return FoundC4(u, p, v, q)
+                clique = common
+                while grow:
+                    bit = grow & -grow
+                    clique |= bit
+                    grow &= adj[bit.bit_length() - 1]
+                cliques.append(clique)
     return None
 
 

@@ -8,10 +8,12 @@ independent cross-check for the branch-and-bound oracle.
 from __future__ import annotations
 
 import itertools
+from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
 from c4free import Graph, build_graph, random_c4free
+from c4free.graph import FoundC4, _above, _bit_indices
 
 
 def cycle(n: int) -> Graph:
@@ -46,6 +48,26 @@ def disjoint_cliques(count: int, size: int) -> Graph:
             (base + i, base + j) for i in range(size) for j in range(i + 1, size)
         )
     return build_graph(count * size, edges)
+
+
+def reference_scan(adj: Sequence[int], n: int, start: int = 0) -> Optional[FoundC4]:
+    """The plain pair scan that ``graph._scan_induced_c4`` must agree with.
+
+    For each non-adjacent pair (u, v), u >= start, in lexicographic order,
+    look for a non-adjacent pair (p, q) inside N(u) ∩ N(v); first hit wins.
+    """
+    for u in range(start, n):
+        nonadj = ~adj[u] & _above(u) & ((1 << n) - 1) & ~(1 << u)
+        for v in _bit_indices(nonadj):
+            common = adj[u] & adj[v]
+            if common.bit_count() < 2:
+                continue
+            for p in _bit_indices(common):
+                cand = common & ~adj[p] & _above(p)
+                if cand:
+                    q = (cand & -cand).bit_length() - 1
+                    return FoundC4(u, p, v, q)
+    return None
 
 
 def brute_omega(g: Graph) -> int:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
+import random
 import sys
 
 import pytest
 
-from c4free import parse_graph, serialize_graph
+from c4free import build_graph, cycle_power, parse_graph, serialize_graph
 from c4free.cli import main
 from helpers import complete, cycle
 
@@ -92,6 +94,18 @@ class TestCheck:
         assert code == 1
         assert out.startswith("induced-c4:")
 
+    def test_witness_line_is_pinned(self, capsys, tmp_path):
+        # A relabelled sharp graph with its first edge removed; the line shows
+        # the scan's first witness, so it pins the scan order.
+        g = cycle_power(10)
+        perm = list(range(g.n))
+        random.Random(1).shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.edges()]
+        f = tmp_path / "g.txt"
+        f.write_text(serialize_graph(build_graph(g.n, edges[1:])))
+        code, out, err = run_cli(capsys, "check", "c4free", str(f))
+        assert (code, out, err) == (1, "induced-c4: 1 2 24 32\n", "")
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("3 1\n0 9\n")
@@ -111,6 +125,24 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "c4free", str(f))
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "latin1.txt" in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["gen", "substitute", "--base", "FILE", "--sizes", "1,1"], "latin1.txt"),
+            (["check", "c4free", "-"], "<stdin>"),
+        ],
+    )
+    def test_non_utf8_error_names_the_input(self, capsys, monkeypatch, tmp_path, argv, name):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"\xff\xfe 1 0\n")
+        stdin = io.TextIOWrapper(io.BytesIO(f.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, *[str(f) if arg == "FILE" else arg for arg in argv])
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
 
 
 class TestClique:
@@ -187,8 +219,6 @@ class TestClique:
         assert "4-cycle" in err
 
     def test_stdin_pipeline(self, capsys, monkeypatch, tmp_path):
-        import io
-
         f = tmp_path / "g.txt"
         main(["gen", "random", "--n", "10", "--p", "2/5", "--seed", "3", "-o", str(f)])
         monkeypatch.setattr("sys.stdin", io.StringIO(f.read_text()))
@@ -256,8 +286,17 @@ class TestVerify:
             "--json", str(target),
         )
         assert code == 2
-        assert out == "cycle-powers: 2/2 pass\n"
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_json_replaces_an_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("x" * 100_000)
+        args = ("verify", "--suite", "cycle-powers", "--samples", "1", "--json", str(target))
+        assert run_cli(capsys, *args, "--max-n", "3")[0] == 2
+        assert target.read_text() == "x" * 100_000
+        assert run_cli(capsys, *args, "--max-n", "9")[0] == 0
+        assert json.loads(target.read_text())["passed"] == 2
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")

@@ -22,8 +22,7 @@ from c4free import (
     w5_blowup,
 )
 from c4free.generators import SplitMix64, _co_bipartite_c4free, _sample_edge_masks
-from c4free.graph import _scan_induced_c4
-from helpers import cycle, path
+from helpers import cycle, path, reference_scan
 
 
 class TestCyclePower:
@@ -196,7 +195,7 @@ def _restart_repair(adj, n, chord):
     """
     adj = list(adj)
     fixes = []
-    while (witness := _scan_induced_c4(adj, n)) is not None:
+    while (witness := reference_scan(adj, n)) is not None:
         fixes.append(witness)
         x, y = (witness.a, witness.c) if chord else (witness.a, witness.b)
         adj[x] ^= 1 << y
@@ -265,9 +264,9 @@ class TestResumedRepair:
         # of an arbitrary sampled graph, chords included.
         adj = _sample_edge_masks(n, Fraction(k, 10), seed)
         fix = generators._add_chord if chord else generators._delete_edge
-        while (witness := _scan_induced_c4(adj, n)) is not None:
+        while (witness := reference_scan(adj, n)) is not None:
             start = fix(adj, witness)
-            after = _scan_induced_c4(adj, n)
+            after = reference_scan(adj, n)
             assert after is None or after.a >= start
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4free import (
     GraphInputError,
@@ -22,7 +23,9 @@ from c4free import (
     induced_subgraph,
     max_clique_exact,
     max_independent_set_exact,
+    w5_blowup,
 )
+from c4free.graph import _scan_induced_c4
 from helpers import (
     brute_alpha,
     brute_omega,
@@ -32,6 +35,7 @@ from helpers import (
     house,
     path,
     raw_graphs,
+    reference_scan,
 )
 
 
@@ -142,6 +146,47 @@ class TestFindInducedC4:
             if not g.has_edge(u, v)
         )
         assert pairs_clique == (find_induced_c4(g) is None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_graphs(max_n=14))
+    def test_scan_matches_reference_at_every_start_row(self, g):
+        for start in range(g.n + 1):
+            assert _scan_induced_c4(g.adj, g.n, start) == reference_scan(g.adj, g.n, start)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.one_of(
+            st.integers(min_value=2, max_value=15).map(cycle_power),
+            st.lists(st.integers(min_value=1, max_value=5), min_size=6, max_size=6).map(
+                w5_blowup
+            ),
+        ),
+        data=st.data(),
+    )
+    def test_scan_matches_reference_on_perturbed_sharp_graphs(self, base, data):
+        # Relabelled C4-free graphs with a few pairs flipped: many common
+        # neighbourhoods are cliques, so the scan skips pairs before the
+        # first witness.
+        n = base.n
+        perm = data.draw(st.permutations(range(n)))
+        flips = data.draw(
+            st.lists(
+                st.sampled_from(list(itertools.combinations(range(n), 2))),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        adj = [0] * n
+        for u, v in base.edges():
+            adj[perm[u]] |= 1 << perm[v]
+            adj[perm[v]] |= 1 << perm[u]
+        for u, v in flips:
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        start = data.draw(st.integers(min_value=0, max_value=n))
+        for row in (0, start):
+            assert _scan_induced_c4(adj, n, row) == reference_scan(adj, n, row)
 
 
 class TestExactOracles:
