@@ -301,9 +301,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except RecursionError:
-        print("error: recursion limit reached; retry with a lower --oracle-limit", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -310,19 +310,21 @@ def greedy_maximal_independent_set(g: Graph) -> VertexSet:
 
 def _color_order(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
     # Greedy coloring of the vertices in mask; returns (vertex, bound) with
-    # vertices grouped by color class, bound = class index + 1.
-    classes: list[int] = []
-    for v in _bit_indices(mask):
-        for i in range(len(classes)):
-            if not (adj[v] & classes[i]):
-                classes[i] |= 1 << v
-                break
-        else:
-            classes.append(1 << v)
+    # vertices grouped by color class, bound = class index + 1. Classes are
+    # peeled as bitsets: each is the ascending greedy maximal independent set
+    # of the vertices not yet colored, which is exactly the class that
+    # ascending sequential greedy coloring gives, so the order is the same.
     order = []
-    for i, cls in enumerate(classes):
-        for v in _bit_indices(cls):
-            order.append((v, i + 1))
+    color = 0
+    while mask:
+        color += 1
+        cand = mask
+        while cand:
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            order.append((v, color))
+            mask ^= bit
+            cand &= ~adj[v] ^ bit
     return order
 
 
@@ -330,35 +332,38 @@ def _clique_search(adj: tuple[int, ...], cand: int, beat: int, stop: int) -> int
     # Size of the largest clique inside cand when it exceeds beat, else beat.
     # Branches that cannot beat the best size so far are cut by the greedy
     # coloring bound, and the search ends once a clique of size stop is found.
+    # Depth first with an explicit stack, so the depth is not bounded by
+    # Python's recursion limit: each level branches on its colored vertices
+    # from the highest bound down, and a parent level waits on the stack.
     if cand.bit_count() <= beat:
         return beat
+    if not cand or stop <= 0:  # the empty clique answers
+        return max(beat, 0)
     best = beat
+    stack: list[tuple[int, int, list[tuple[int, int]]]] = []
+    size, mask, order = 0, cand, _color_order(adj, cand)
+    while True:
+        if order and size + order[-1][1] > best:
+            v = order.pop()[0]
+            mask ^= 1 << v
+            sub = mask & adj[v]
+            if sub and size + 1 < stop:
+                stack.append((size, mask, order))
+                size, mask, order = size + 1, sub, _color_order(adj, sub)
+            elif size + 1 > best:
+                best = size + 1
+                if best >= stop:
+                    return best
+        elif stack:
+            size, mask, order = stack.pop()
+        else:
+            return best
 
-    def expand(size: int, mask: int) -> None:
-        nonlocal best
-        if not mask or size >= stop:
-            if size > best:
-                best = size
-            return
-        order = _color_order(adj, mask)
-        for v, bound in reversed(order):
-            if size + bound <= best:
-                return
-            expand(size + 1, mask & adj[v])
-            if best >= stop:
-                return
-            mask &= ~(1 << v)
 
-    expand(0, cand)
-    return best
-
-
-def _lex_first_clique(adj: tuple[int, ...], cand: int, k: int) -> Optional[int]:
-    # Lexicographically least k-clique inside cand, as a mask, or None.
-    # Greedy prefix extension: each chosen vertex is the smallest whose
-    # upward neighborhood still completes to the required size.
-    if _clique_search(adj, cand, k - 1, k) < k:
-        return None
+def _lex_first_clique(adj: tuple[int, ...], cand: int, k: int) -> int:
+    # Lexicographically least k-clique inside cand, as a mask; the caller
+    # knows one exists. Greedy prefix extension: each chosen vertex is the
+    # smallest whose upward neighborhood still completes to the required size.
     chosen = 0
     remaining = cand
     for depth in range(k):
@@ -369,7 +374,7 @@ def _lex_first_clique(adj: tuple[int, ...], cand: int, k: int) -> Optional[int]:
                 chosen |= 1 << v
                 remaining = nxt
                 break
-        else:  # pragma: no cover - the search said a completion exists
+        else:  # pragma: no cover - the caller said a completion exists
             raise InvariantViolation("lexicographic clique extension lost its target")
     return chosen
 
@@ -379,9 +384,7 @@ def max_clique_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
     if g.n > limit:
         raise OracleLimitError(f"oracle limit: n={g.n} exceeds limit {limit}")
     omega = _clique_search(g.adj, g.full_mask, 0, g.n)
-    mask = _lex_first_clique(g.adj, g.full_mask, omega)
-    assert mask is not None
-    return _to_vertexset(mask)
+    return _to_vertexset(_lex_first_clique(g.adj, g.full_mask, omega))
 
 
 def max_independent_set_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
@@ -393,8 +396,10 @@ def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
     """Lexicographically least independent set of size exactly t, or None."""
     if t < 1:
         raise GraphInputError(f"size must be at least 1, got {t}")
-    mask = _lex_first_clique(complement(g).adj, g.full_mask, t)
-    return None if mask is None else _to_vertexset(mask)
+    adj = complement(g).adj
+    if _clique_search(adj, g.full_mask, t - 1, t) < t:
+        return None
+    return _to_vertexset(_lex_first_clique(adj, g.full_mask, t))
 
 
 # ---------------------------------------------------------------------------
@@ -402,46 +407,70 @@ def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
 # ---------------------------------------------------------------------------
 
 
-def _bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
-    dist = [-1] * g.n
+def _bfs(g: Graph, source: int) -> list[int]:
+    # BFS tree from source, neighbours in ascending order: parent of every
+    # vertex reached (the source is its own parent), -1 elsewhere.
     parent = [-1] * g.n
-    dist[source] = 0
+    parent[source] = source
     queue = [source]
     head = 0
     while head < len(queue):
         u = queue[head]
         head += 1
         for v in _bit_indices(g.adj[u]):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
+            if parent[v] < 0:
                 parent[v] = u
                 queue.append(v)
-    return dist, parent
+    return parent
+
+
+def _least_odd_walk(adj: tuple[int, ...], s: int, limit: int) -> Optional[tuple[int, int, int]]:
+    # Layered bitset BFS from s. In the first layer holding an edge, u is its
+    # least vertex with a neighbour in the layer (all of them lie above u)
+    # and v is the least such neighbour: the first (u, v) of the plain scan
+    # at s. Returns (2*dist+1, u, v), or None when no layer gives a walk
+    # shorter than limit.
+    seen = layer = 1 << s
+    length = 1
+    while layer and length < limit:
+        reach = 0
+        for u in _bit_indices(layer):
+            inner = adj[u] & layer
+            if inner:
+                return length, u, (inner & -inner).bit_length() - 1
+            reach |= adj[u]
+        layer = reach & ~seen
+        seen |= layer
+        length += 2
+    return None
+
+
+def _has_triangle(adj: tuple[int, ...]) -> bool:
+    return any(
+        adj[u] & adj[v] for u in range(len(adj)) for v in _bit_indices(adj[u] & _above(u))
+    )
 
 
 def _shortest_odd_cycle(g: Graph) -> VertexSet:
     # Minimum over sources s and edges (u, v) with dist_s(u) = dist_s(v) of
     # the closed walk length 2*dist+1; the minimum odd closed walk is a
-    # simple chordless cycle. First achiever in (s, u, v) scan order wins.
-    best_len: Optional[int] = None
-    best: Optional[tuple[int, int, int, list[int]]] = None
+    # simple chordless cycle. First achiever in (s, u, v) scan order wins:
+    # a later source replaces it only with a strictly shorter walk. The
+    # search ends at length 3, or at 5 when the graph has no triangle.
+    best: Optional[tuple[int, int, int]] = None
+    limit = 2 * g.n
     for s in range(g.n):
-        dist, parent = _bfs(g, s)
-        for u in range(g.n):
-            if dist[u] < 0:
-                continue
-            for v in _bit_indices(g.adj[u] & _above(u)):
-                if dist[v] != dist[u]:
-                    continue
-                length = 2 * dist[u] + 1
-                if best_len is None or length < best_len:
-                    best_len = length
-                    best = (s, u, v, parent)
-        if best_len == 3:
+        found = _least_odd_walk(g.adj, s, limit)
+        if found is None:
+            continue
+        limit, u, v = found
+        best = (s, u, v)
+        if limit == 3 or (limit == 5 and not _has_triangle(g.adj)):
             break
     if best is None:
         raise InvariantViolation("odd cycle requested in a bipartite graph")
-    s, u, v, parent = best
+    s, u, v = best
+    parent = _bfs(g, s)
     path_u = [u]
     while path_u[-1] != s:
         path_u.append(parent[path_u[-1]])

@@ -1,19 +1,30 @@
-"""Shared builders and brute-force oracles for the test suite.
+"""Shared builders, brute-force oracles and reference copies for the tests.
 
-The oracles here deliberately avoid the library's search code: cliques
-and independent sets are found by enumerating subsets, so they stay an
-independent cross-check for the branch-and-bound oracle.
+The brute-force oracles deliberately avoid the library's search code:
+cliques and independent sets are found by enumerating subsets, so they
+stay an independent cross-check for the branch-and-bound oracle. The
+``reference_*`` functions are verbatim copies of the plain code that a
+faster path in ``graph.py`` replaced; differential tests require equal
+results.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
-from c4free import Graph, build_graph, random_c4free
-from c4free.graph import FoundC4, _above, _bit_indices
+from c4free import Graph, build_graph, complement, random_c4free, w5_blowup
+from c4free.graph import (
+    FoundC4,
+    InvariantViolation,
+    _above,
+    _bit_indices,
+    _canonical_cycle,
+    _to_vertexset,
+)
 
 
 def cycle(n: int) -> Graph:
@@ -68,6 +79,153 @@ def reference_scan(adj: Sequence[int], n: int, start: int = 0) -> Optional[Found
                     q = (cand & -cand).bit_length() - 1
                     return FoundC4(u, p, v, q)
     return None
+
+
+# Verbatim copies of the per-source BFS odd-cycle search, the sequential
+# greedy coloring and the recursive branch and bound, with its opening
+# existence search, that the bit-parallel code in ``graph.py`` replaced.
+
+
+def _reference_bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
+    dist = [-1] * g.n
+    parent = [-1] * g.n
+    dist[source] = 0
+    queue = [source]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v in _bit_indices(g.adj[u]):
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                parent[v] = u
+                queue.append(v)
+    return dist, parent
+
+
+def reference_shortest_odd_cycle(g: Graph) -> tuple[int, ...]:
+    # Minimum over sources s and edges (u, v) with dist_s(u) = dist_s(v) of
+    # the closed walk length 2*dist+1; the minimum odd closed walk is a
+    # simple chordless cycle. First achiever in (s, u, v) scan order wins.
+    best_len: Optional[int] = None
+    best: Optional[tuple[int, int, int, list[int]]] = None
+    for s in range(g.n):
+        dist, parent = _reference_bfs(g, s)
+        for u in range(g.n):
+            if dist[u] < 0:
+                continue
+            for v in _bit_indices(g.adj[u] & _above(u)):
+                if dist[v] != dist[u]:
+                    continue
+                length = 2 * dist[u] + 1
+                if best_len is None or length < best_len:
+                    best_len = length
+                    best = (s, u, v, parent)
+        if best_len == 3:
+            break
+    if best is None:
+        raise InvariantViolation("odd cycle requested in a bipartite graph")
+    s, u, v, parent = best
+    path_u = [u]
+    while path_u[-1] != s:
+        path_u.append(parent[path_u[-1]])
+    path_u.reverse()  # s .. u
+    path_v = [v]
+    while path_v[-1] != s:
+        path_v.append(parent[path_v[-1]])
+    # s .. u then v .. (s excluded): cyclic order s -> u -> v -> s.
+    cycle = path_u + path_v[:-1]
+    if len(set(cycle)) != len(cycle):  # pragma: no cover - minimality argument
+        raise InvariantViolation("shortest odd closed walk was not simple")
+    return _canonical_cycle(cycle)
+
+
+def reference_color_order(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
+    # Greedy coloring of the vertices in mask; returns (vertex, bound) with
+    # vertices grouped by color class, bound = class index + 1.
+    classes: list[int] = []
+    for v in _bit_indices(mask):
+        for i in range(len(classes)):
+            if not (adj[v] & classes[i]):
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    order = []
+    for i, cls in enumerate(classes):
+        for v in _bit_indices(cls):
+            order.append((v, i + 1))
+    return order
+
+
+def reference_clique_search(adj: tuple[int, ...], cand: int, beat: int, stop: int) -> int:
+    # Size of the largest clique inside cand when it exceeds beat, else beat.
+    # Branches that cannot beat the best size so far are cut by the greedy
+    # coloring bound, and the search ends once a clique of size stop is found.
+    if cand.bit_count() <= beat:
+        return beat
+    best = beat
+
+    def expand(size: int, mask: int) -> None:
+        nonlocal best
+        if not mask or size >= stop:
+            if size > best:
+                best = size
+            return
+        order = reference_color_order(adj, mask)
+        for v, bound in reversed(order):
+            if size + bound <= best:
+                return
+            expand(size + 1, mask & adj[v])
+            if best >= stop:
+                return
+            mask &= ~(1 << v)
+
+    expand(0, cand)
+    return best
+
+
+def reference_lex_first_clique(adj: tuple[int, ...], cand: int, k: int) -> Optional[int]:
+    # Lexicographically least k-clique inside cand, as a mask, or None.
+    # Greedy prefix extension: each chosen vertex is the smallest whose
+    # upward neighborhood still completes to the required size.
+    if reference_clique_search(adj, cand, k - 1, k) < k:
+        return None
+    chosen = 0
+    remaining = cand
+    for depth in range(k):
+        need_rest = k - depth - 1
+        for v in _bit_indices(remaining):
+            nxt = remaining & adj[v] & _above(v)
+            if reference_clique_search(adj, nxt, need_rest - 1, need_rest) == need_rest:
+                chosen |= 1 << v
+                remaining = nxt
+                break
+        else:  # pragma: no cover - the search said a completion exists
+            raise InvariantViolation("lexicographic clique extension lost its target")
+    return chosen
+
+
+def reference_max_clique(g: Graph) -> tuple[int, ...]:
+    """``max_clique_exact`` as it was built from the two references above."""
+    omega = reference_clique_search(g.adj, g.full_mask, 0, g.n)
+    mask = reference_lex_first_clique(g.adj, g.full_mask, omega)
+    assert mask is not None
+    return _to_vertexset(mask)
+
+
+def reference_independent_set_of_size(g: Graph, t: int) -> Optional[tuple[int, ...]]:
+    """``find_independent_set_of_size`` as it was built from the references."""
+    mask = reference_lex_first_clique(complement(g).adj, g.full_mask, t)
+    return None if mask is None else _to_vertexset(mask)
+
+
+def relabelled_w5_blowup(sizes: Sequence[int], seed: int) -> Graph:
+    """``w5_blowup(sizes)`` with vertex labels shuffled by ``random.Random(seed)``."""
+    g = w5_blowup(sizes)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def brute_omega(g: Graph) -> int:

@@ -9,7 +9,7 @@ import pytest
 
 from c4free import build_graph, cycle_power, parse_graph, serialize_graph
 from c4free.cli import main
-from helpers import complete, cycle
+from helpers import complete, cycle, relabelled_w5_blowup
 
 
 def run_cli(capsys, *argv):
@@ -161,9 +161,10 @@ class TestClique:
         assert code == 2
         assert "oracle limit" in err
 
-    def test_recursion_limit_is_usage_error(self, capsys, tmp_path):
-        # The branch and bound recurses once per clique vertex; a limit just
-        # above the current depth stands in for a huge --oracle-limit.
+    def test_deep_clique_under_a_low_recursion_limit(self, capsys, tmp_path):
+        # The branch and bound keeps its own stack, so a search one level
+        # deeper per clique vertex answers even when Python's recursion
+        # limit sits just above the current depth.
         f = tmp_path / "k60.txt"
         f.write_text(serialize_graph(complete(60)))
         depth, frame = 0, sys._getframe()
@@ -175,9 +176,8 @@ class TestClique:
             code = main(["clique", "exact", "--oracle-limit", "100", str(f)])
         finally:
             sys.setrecursionlimit(old_limit)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and "--oracle-limit" in err
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {"clique": list(range(60)), "size": 60}
 
     def test_extract_auto_picks_regular(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
@@ -244,6 +244,61 @@ class TestStructure:
         assert code == 1
         assert out.strip() == "alpha>2"
         assert "witness" in err
+
+
+class TestAlpha2Bytes:
+    """Exact stdout of the alpha <= 2 commands on a relabelled W5 blow-up.
+
+    The expected payloads were taken before the odd-cycle search and the
+    clique oracle became bit-parallel; the CLI prints each one as
+    ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.
+    """
+
+    CLIQUE = [3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 17]
+
+    @pytest.fixture
+    def w5_file(self, tmp_path):
+        f = tmp_path / "w5.txt"
+        f.write_text(serialize_graph(relabelled_w5_blowup((3, 4, 2, 3, 5, 2), 1)))
+        return str(f)
+
+    @staticmethod
+    def assert_stdout(capsys, argv, payload):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_structure(self, capsys, w5_file):
+        self.assert_stdout(capsys, ("structure", w5_file), {
+            "cycle_groups": [[0, 9, 16, 18], [1, 15], [6, 10, 13], [3, 7, 8, 12, 14], [2, 4]],
+            "format_version": 1,
+            "hub": [5, 11, 17],
+            "kind": "w5-substitution",
+        })
+
+    def test_extract_triple(self, capsys, w5_file):
+        self.assert_stdout(capsys, ("clique", "extract", "--method", "triple", w5_file), {
+            "clique": self.CLIQUE,
+            "format_version": 1,
+            "graph": {"edge_count": 119, "n": 19},
+            "guaranteed_bound": "11/3",
+            "kind": "clique-certificate",
+            "method": "structure",
+            "precondition_met": True,
+            "size": 11,
+            "verified": True,
+            "witness": {
+                "min_degree": 10,
+                "route": "structure",
+                "structure_kind": "w5-substitution",
+                "two_fifths": 8,
+            },
+        })
+
+    def test_exact(self, capsys, w5_file):
+        self.assert_stdout(
+            capsys, ("clique", "exact", w5_file), {"clique": self.CLIQUE, "size": 11}
+        )
 
 
 class TestVerify:

@@ -25,7 +25,15 @@ from c4free import (
     max_independent_set_exact,
     w5_blowup,
 )
-from c4free.graph import _scan_induced_c4
+from c4free import graph as graph_module
+from c4free.graph import (
+    InvariantViolation,
+    _clique_search,
+    _color_order,
+    _has_triangle,
+    _scan_induced_c4,
+    _shortest_odd_cycle,
+)
 from helpers import (
     brute_alpha,
     brute_omega,
@@ -35,8 +43,29 @@ from helpers import (
     house,
     path,
     raw_graphs,
+    reference_clique_search,
+    reference_color_order,
+    reference_independent_set_of_size,
+    reference_max_clique,
     reference_scan,
+    reference_shortest_odd_cycle,
+    relabelled_w5_blowup,
 )
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return build_graph(10, outer + inner + spokes)
+
+
+def disjoint_union(*parts):
+    edges, base = [], 0
+    for part in parts:
+        edges.extend((base + u, base + v) for u, v in part.edges())
+        base += part.n
+    return build_graph(base, edges)
 
 
 class TestBuildGraph:
@@ -338,6 +367,115 @@ class TestBipartition:
             for part in (p1, p2):
                 for u, v in itertools.combinations(part, 2):
                     assert not g.has_edge(u, v)
+
+
+class TestAgainstReferences:
+    """The bit-parallel kernels against verbatim copies of the code they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_graphs(max_n=14), st.booleans())
+    def test_odd_cycle_matches_reference(self, g, flip):
+        g = complement(g) if flip else g
+        try:
+            expected = reference_shortest_odd_cycle(g)
+        except InvariantViolation:
+            with pytest.raises(InvariantViolation):
+                _shortest_odd_cycle(g)
+            return
+        assert _shortest_odd_cycle(g) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_graphs(max_n=14), st.booleans(), st.data())
+    def test_color_order_matches_reference(self, g, flip, data):
+        g = complement(g) if flip else g
+        mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        assert _color_order(g.adj, mask) == reference_color_order(g.adj, mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_graphs(max_n=14), st.booleans(), st.data())
+    def test_clique_search_matches_reference(self, g, flip, data):
+        g = complement(g) if flip else g
+        mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        beat = data.draw(st.integers(min_value=-1, max_value=g.n))
+        stop = data.draw(st.integers(min_value=0, max_value=g.n + 1))
+        got = _clique_search(g.adj, mask, beat, stop)
+        assert got == reference_clique_search(g.adj, mask, beat, stop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_graphs(max_n=14), st.booleans())
+    def test_max_clique_matches_reference(self, g, flip):
+        g = complement(g) if flip else g
+        assert max_clique_exact(g) == reference_max_clique(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_graphs(max_n=14), st.booleans())
+    def test_independent_set_of_size_matches_reference(self, g, flip):
+        # t runs past alpha on most draws, so absent sizes are covered too.
+        g = complement(g) if flip else g
+        for t in range(1, 7):
+            got = find_independent_set_of_size(g, t)
+            assert got == reference_independent_set_of_size(g, t)
+
+    @pytest.mark.parametrize("k", [5, 7, 9])
+    def test_odd_cycles(self, k):
+        assert _shortest_odd_cycle(cycle(k)) == tuple(range(k))
+        assert reference_shortest_odd_cycle(cycle(k)) == tuple(range(k))
+
+    def test_petersen_graph_has_odd_girth_five(self):
+        g = petersen()
+        assert not _has_triangle(g.adj)
+        got = _shortest_odd_cycle(g)
+        assert len(got) == 5
+        assert got == reference_shortest_odd_cycle(g)
+
+    def test_bipartite_component_below_an_odd_one(self):
+        g = disjoint_union(cycle(6), path(3), cycle(5))
+        assert _shortest_odd_cycle(g) == (9, 10, 11, 12, 13)
+        assert reference_shortest_odd_cycle(g) == (9, 10, 11, 12, 13)
+
+    def test_both_stopping_rules_fire(self, monkeypatch):
+        # Sources 1..6 of the C7 are cut once their walks reach length 7;
+        # the C5's first source finds length 5 in a triangle-free graph, and
+        # the search ends there without trying sources 8..11.
+        g = disjoint_union(cycle(7), cycle(5))
+        sources = []
+        walk = graph_module._least_odd_walk
+
+        def counted(adj, s, limit):
+            sources.append((s, limit))
+            return walk(adj, s, limit)
+
+        monkeypatch.setattr(graph_module, "_least_odd_walk", counted)
+        assert _shortest_odd_cycle(g) == (7, 8, 9, 10, 11)
+        assert sources == [(0, 24)] + [(s, 7) for s in range(1, 8)]
+        assert reference_shortest_odd_cycle(g) == (7, 8, 9, 10, 11)
+
+    def test_a_tie_keeps_the_first_source(self):
+        # Only a strictly shorter walk replaces the best one, so the second
+        # C7 never wins, although every one of its sources reaches length 7.
+        g = disjoint_union(cycle(7), cycle(7))
+        assert _shortest_odd_cycle(g) == tuple(range(7))
+        assert reference_shortest_odd_cycle(g) == tuple(range(7))
+
+    def test_relabelled_w5_blowup_complement(self):
+        g = complement(relabelled_w5_blowup((3, 4, 2, 3, 5, 2), 1))
+        assert _shortest_odd_cycle(g) == reference_shortest_odd_cycle(g)
+
+    def test_one_bfs_per_odd_cycle(self, monkeypatch):
+        # A deterministic work guard: the witness path is rebuilt from one
+        # BFS of the winning source, not one BFS per source.
+        g = complement(relabelled_w5_blowup((30,) * 6, 1))
+        calls = []
+        bfs = graph_module._bfs
+
+        def counted(graph, source):
+            calls.append(source)
+            return bfs(graph, source)
+
+        monkeypatch.setattr(graph_module, "_bfs", counted)
+        got = _shortest_odd_cycle(g)
+        assert len(calls) == 1
+        assert got == reference_shortest_odd_cycle(g)
 
 
 class TestComplement:
