@@ -8,7 +8,7 @@ splitmix64 (pinned by name and version in suite configs) so the same
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .graph import (
     FoundC4,
@@ -159,7 +159,9 @@ def _sample_edge_masks(n: int, p: Fraction, seed: int) -> list[int]:
     return adj
 
 
-def random_c4free(n: int, p: Union[Fraction, float, str], seed: int) -> Graph:
+def random_c4free(
+    n: int, p: Union[Fraction, float, str], seed: int, *, skip_isolated: bool = False
+) -> Optional[Graph]:
     """Seeded random graph repaired to be free of induced 4-cycles.
 
     Edges are sampled independently with probability p, then while the
@@ -170,13 +172,21 @@ def random_c4free(n: int, p: Union[Fraction, float, str], seed: int) -> Graph:
     x the least vertex of N(a) ∩ N(b) with a non-neighbour above it in
     that set: only {a, b} and the non-adjacent pairs inside N(a) ∩ N(b)
     can turn bad, so the deletions are those of a scan restarted at row 0.
+
+    With skip_isolated, a sample with an isolated vertex is not repaired and
+    None is returned. A deletion keeps a and b adjacent to d and c, so
+    repair never isolates a vertex: these are exactly the draws that would
+    end with one.
     """
     prob = Fraction(p)
     if not (0 <= prob <= 1):
         raise GraphInputError(f"edge probability must be in [0, 1], got {prob}")
     if n < 0:
         raise GraphInputError(f"vertex count must be non-negative, got {n}")
-    return _repair(_sample_edge_masks(n, prob, seed), n, _delete_edge)
+    adj = _sample_edge_masks(n, prob, seed)
+    if skip_isolated and not all(adj):
+        return None
+    return _repair(adj, n, _delete_edge)
 
 
 def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:

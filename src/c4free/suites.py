@@ -130,6 +130,11 @@ def run_suite(config: SuiteConfig) -> Report:
         )
     if config.samples < 0:
         raise GraphInputError(f"samples must be non-negative, got {config.samples}")
+    if config.oracle_limit < 0:
+        raise GraphInputError(f"oracle_limit must be non-negative, got {config.oracle_limit}")
+    if config.suite == "cycle-powers" and config.oracle_limit < 5:
+        # Below the smallest instance (n = 5) no record would check omega = k + 1.
+        raise GraphInputError("suite cycle-powers needs oracle_limit >= 5")
     sampled = ("bounds-general", "bounds-triple", "large-alpha", "structure")
     if config.suite in sampled and (config.samples == 0 or config.max_n < 5):
         raise GraphInputError(f"suite {config.suite} needs samples >= 1 and max_n >= 5")
@@ -237,8 +242,8 @@ def _random_corpus(config: SuiteConfig) -> Iterator[tuple[dict, Graph]]:
     Sizes are drawn from 5..max_n. Most instances are sparse (target
     average degree 1..6, where repair work is small); one in five is
     medium (p = 1/2) or dense (p = 9/10), which survives repair with a
-    high minimum degree and makes the bounds non-vacuous. Draws with an
-    isolated vertex are discarded and redrawn.
+    high minimum degree and makes the bounds non-vacuous. A draw whose
+    sample has an isolated vertex is discarded before repair.
     """
     rng = SplitMix64(config.seed)
     produced = 0
@@ -253,8 +258,8 @@ def _random_corpus(config: SuiteConfig) -> Iterator[tuple[dict, Graph]]:
         else:
             p = Fraction(9, 10)
         inst_seed = rng.next_u64()
-        g = random_c4free(n, p, inst_seed)
-        if g.min_degree() < 1:
+        g = random_c4free(n, p, inst_seed, skip_isolated=True)
+        if g is None:
             continue
         params = {"kind": "random", "n": n, "p": str(p), "seed": inst_seed}
         produced += 1

@@ -4,19 +4,22 @@ The brute-force oracles deliberately avoid the library's search code:
 cliques and independent sets are found by enumerating subsets, so they
 stay an independent cross-check for the branch-and-bound oracle. The
 ``reference_*`` functions are verbatim copies of the plain code that a
-faster path in ``graph.py`` replaced; differential tests require equal
-results.
+faster path in ``graph.py``, ``edgelist.py`` or ``suites.py`` replaced;
+differential tests require equal results.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
 from c4free import Graph, build_graph, complement, random_c4free, w5_blowup
+from c4free.edgelist import CLI_VERTEX_LIMIT, ParseError
+from c4free.generators import SplitMix64
 from c4free.graph import (
     FoundC4,
     InvariantViolation,
@@ -25,6 +28,7 @@ from c4free.graph import (
     _canonical_cycle,
     _to_vertexset,
 )
+from c4free.suites import SuiteConfig
 
 
 def cycle(n: int) -> Graph:
@@ -79,6 +83,91 @@ def reference_scan(adj: Sequence[int], n: int, start: int = 0) -> Optional[Found
                     q = (cand & -cand).bit_length() - 1
                     return FoundC4(u, p, v, q)
     return None
+
+
+# Verbatim copy of the line-by-line edge-list parser that the bulk path in
+# ``edgelist.py`` sits in front of.
+
+
+def _reference_parse_ints(line: str, count: int, line_no: int) -> list[int]:
+    tokens = line.split()
+    if len(tokens) != count:
+        raise ParseError(f"expected {count} integers, got {line!r}", line_no)
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"not an integer: {tok!r}", line_no) from None
+    return values
+
+
+def reference_parse_graph(text: str, max_n: Optional[int] = CLI_VERTEX_LIMIT) -> Graph:
+    header: Optional[tuple[int, int]] = None
+    edges: list[tuple[int, int]] = []
+    last_line_no = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        last_line_no = line_no
+        if raw.lstrip().startswith("#"):
+            continue
+        if header is None:
+            n, m = _reference_parse_ints(raw, 2, line_no)
+            if n < 0 or m < 0:
+                raise ParseError(f"negative counts in header: {n} {m}", line_no)
+            if max_n is not None and n > max_n:
+                raise ParseError(f"n={n} exceeds the vertex limit {max_n}", line_no)
+            header = (n, m)
+            continue
+        if len(edges) >= header[1]:
+            raise ParseError(f"trailing garbage after {header[1]} edges: {raw!r}", line_no)
+        u, v = _reference_parse_ints(raw, 2, line_no)
+        n = header[0]
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex out of range 0..{n - 1} in edge {u} {v}", line_no)
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", line_no)
+        edges.append((u, v))
+    if header is None:
+        raise ParseError("missing header line 'n m'", last_line_no + 1)
+    if len(edges) != header[1]:
+        raise ParseError(
+            f"header declared {header[1]} edges, found {len(edges)}",
+            last_line_no + 1,
+        )
+    g = build_graph(header[0], edges)
+    if g.edge_count != header[1]:
+        # Error path only: the data lines after the header are the edges.
+        lines = [no for no, raw in enumerate(text.splitlines(), start=1)
+                 if not raw.lstrip().startswith("#")]
+        seen: set[frozenset[int]] = set()
+        for line_no, (u, v) in zip(lines[1:], edges):
+            if frozenset((u, v)) in seen:
+                raise ParseError(f"duplicate edge {u} {v}", line_no)
+            seen.add(frozenset((u, v)))
+    return g
+
+
+def reference_random_corpus(config: SuiteConfig) -> Iterator[tuple[dict, Graph]]:
+    """``suites._random_corpus`` as it was: repair every draw, then discard."""
+    rng = SplitMix64(config.seed)
+    produced = 0
+    while produced < config.samples:
+        n = 5 + rng.next_below(max(config.max_n - 4, 1))
+        style = rng.next_below(10)
+        if style < 8:
+            avg_deg = 1 + rng.next_below(min(6, n - 1))
+            p = Fraction(avg_deg, max(n - 1, 1))
+        elif style == 8:
+            p = Fraction(1, 2)
+        else:
+            p = Fraction(9, 10)
+        inst_seed = rng.next_u64()
+        g = random_c4free(n, p, inst_seed)
+        if g.min_degree() < 1:
+            continue
+        params = {"kind": "random", "n": n, "p": str(p), "seed": inst_seed}
+        produced += 1
+        yield params, g
 
 
 # Verbatim copies of the per-source BFS odd-cycle search, the sequential
@@ -220,12 +309,16 @@ def reference_independent_set_of_size(g: Graph, t: int) -> Optional[tuple[int, .
     return None if mask is None else _to_vertexset(mask)
 
 
-def relabelled_w5_blowup(sizes: Sequence[int], seed: int) -> Graph:
-    """``w5_blowup(sizes)`` with vertex labels shuffled by ``random.Random(seed)``."""
-    g = w5_blowup(sizes)
+def relabelled(g: Graph, seed: int) -> Graph:
+    """g with vertex labels shuffled by ``random.Random(seed)``."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def relabelled_w5_blowup(sizes: Sequence[int], seed: int) -> Graph:
+    """``w5_blowup(sizes)`` with vertex labels shuffled by ``random.Random(seed)``."""
+    return relabelled(w5_blowup(sizes), seed)
 
 
 def brute_omega(g: Graph) -> int:
@@ -263,6 +356,4 @@ def c4free_graphs(draw, max_n: int = 20):
     n = draw(st.integers(min_value=0, max_value=max_n))
     num = draw(st.integers(min_value=0, max_value=10))
     seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
-    from fractions import Fraction
-
     return random_c4free(n, Fraction(num, 10), seed)

@@ -333,6 +333,16 @@ class TestVerify:
         assert code == 2
         assert out == "" and err.count("\n") == 1
 
+    @pytest.mark.parametrize("suite, limit", [
+        ("cycle-powers", "0"), ("cycle-powers", "-5"), ("bounds-general", "-1"),
+    ])
+    def test_low_oracle_limit_usage_error(self, capsys, suite, limit):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--oracle-limit", limit)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "oracle_limit" in err
+
     def test_unwritable_json_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "no-such-dir" / "report.json"
         code, out, err = run_cli(

@@ -186,6 +186,18 @@ class TestRandomC4Free:
         # p = 1 gives the complete graph, which has no induced 4-cycle.
         assert g.edge_count == 15
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=10),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_skip_isolated_drops_exactly_the_isolated_results(self, n, num, seed):
+        # Repair never isolates a vertex, so rejecting on the sample is exact.
+        full = random_c4free(n, Fraction(num, 10), seed)
+        skipped = random_c4free(n, Fraction(num, 10), seed, skip_isolated=True)
+        assert skipped == (None if full.min_degree() < 1 else full)
+
 
 def _restart_repair(adj, n, chord):
     """Reference repair: rescan from row 0 after every fix.

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from c4free import GraphInputError, Report, SuiteConfig, run_suite
-from c4free.suites import SUITE_NAMES
+from c4free.suites import SUITE_NAMES, _random_corpus
+from helpers import reference_random_corpus
 
 
 def _config(suite, **overrides):
@@ -40,6 +41,22 @@ class TestRunSuite:
         with pytest.raises(GraphInputError):
             run_suite(_config(suite, **overrides))
 
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_negative_oracle_limit_rejected(self, suite):
+        with pytest.raises(GraphInputError, match="oracle_limit must be non-negative"):
+            run_suite(_config(suite, samples=1, oracle_limit=-1))
+
+    @pytest.mark.parametrize("limit", [-5, 0, 4])
+    def test_cycle_powers_needs_the_oracle(self, limit):
+        # Below n = 5 every record had omega null, so omega = k + 1 went unchecked.
+        with pytest.raises(GraphInputError, match="oracle_limit"):
+            run_suite(_config("cycle-powers", oracle_limit=limit))
+
+    def test_cycle_powers_checks_omega_from_the_smallest_instance(self):
+        report = run_suite(_config("cycle-powers", max_n=9, oracle_limit=5))
+        assert [r["omega"] for r in report.records] == [2, None]
+        assert report.all_passed()
+
     def test_checker_equiv_accepts_zero_samples(self):
         report = run_suite(_config("checker-equiv", samples=0, max_n=4))
         assert report.all_passed()
@@ -64,6 +81,15 @@ class TestRunSuite:
     def test_epsilon_affects_large_alpha_config(self):
         report = run_suite(_config("large-alpha", samples=3, epsilon=Fraction(1, 4)))
         assert report.config["epsilon"] == "1/4"
+
+
+class TestRandomCorpus:
+    @pytest.mark.parametrize("seed", [1, 2, 42, 2**63 + 5])
+    @pytest.mark.parametrize("max_n", [5, 12, 30])
+    def test_stream_matches_reference(self, seed, max_n):
+        # Rejecting on the sample, before repair, must keep every instance.
+        config = _config("bounds-general", seed=seed, samples=40, max_n=max_n)
+        assert list(_random_corpus(config)) == list(reference_random_corpus(config))
 
 
 class TestReportDeterminism:
