@@ -8,32 +8,26 @@ small-graph oracles, and deterministic verification suites.
 __version__ = "0.1.0"
 
 from .graph import (
-    ORACLE_LIMIT_DEFAULT,
-    FoundC4,
     Graph,
     GraphInputError,
     InvariantViolation,
     OddCycle,
     OracleLimitError,
-    SetClass,
-    VertexSet,
     bipartition,
     build_graph,
-    classify_set,
     common_neighbors,
     complement,
     find_independent_set_of_size,
     find_induced_c4,
     greedy_maximal_independent_set,
     has_induced_c4_naive,
-    induced_subgraph,
     is_c4_free,
+    is_clique,
+    is_independent_set,
     max_clique_exact,
     max_independent_set_exact,
 )
 from .generators import (
-    RNG_NAME,
-    SplitMix64,
     clique_substitution,
     cycle_power,
     random_c4free,
@@ -49,7 +43,6 @@ from .structure import (
     verify_certificate,
 )
 from .extraction import (
-    CliqueCertificate,
     DominatingPair,
     best_pair_intersection,
     check_certificate,
@@ -65,11 +58,7 @@ from .edgelist import ParseError, parse_graph, serialize_graph
 from .suites import Report, SuiteConfig, run_suite
 
 __all__ = [
-    "ORACLE_LIMIT_DEFAULT",
-    "RNG_NAME",
-    "CliqueCertificate",
     "DominatingPair",
-    "FoundC4",
     "Graph",
     "GraphInputError",
     "HypothesisViolation",
@@ -78,17 +67,13 @@ __all__ = [
     "OracleLimitError",
     "ParseError",
     "Report",
-    "SetClass",
-    "SplitMix64",
     "StructureCertificate",
     "SuiteConfig",
-    "VertexSet",
     "alpha2_decompose",
     "best_pair_intersection",
     "bipartition",
     "build_graph",
     "check_certificate",
-    "classify_set",
     "clique_from_certificate",
     "clique_substitution",
     "common_neighbors",
@@ -106,8 +91,9 @@ __all__ = [
     "find_induced_c4",
     "greedy_maximal_independent_set",
     "has_induced_c4_naive",
-    "induced_subgraph",
     "is_c4_free",
+    "is_clique",
+    "is_independent_set",
     "max_clique_exact",
     "max_independent_set_exact",
     "parse_graph",

@@ -24,6 +24,7 @@ from .extraction import (
 )
 from .generators import clique_substitution, cycle_power, random_c4free, w5_blowup
 from .graph import (
+    ORACLE_LIMIT_DEFAULT,
     Graph,
     GraphInputError,
     InvariantViolation,
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = clique_sub.add_parser("exact", help="exact maximum clique (small graphs)")
     p.add_argument("file")
-    p.add_argument("--oracle-limit", type=int, default=48)
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT)
 
     p = clique_sub.add_parser("extract", help="certified clique extraction")
     p.add_argument("file")
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="start the general method from a maximum independent set "
         "(oracle-sized graphs only)",
     )
-    p.add_argument("--oracle-limit", type=int, default=48)
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT)
 
     p = sub.add_parser("structure", help="decompose a C4-free graph with independence number <= 2")
     p.add_argument("file")
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-n", type=int, default=40)
-    p.add_argument("--oracle-limit", type=int, default=48)
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT)
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--json", metavar="FILE", default=None)
 
@@ -206,7 +207,7 @@ def _cmd_clique(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     method = args.method
-    if getattr(args, "dirac", False):
+    if args.dirac:
         if method not in ("auto", "large-alpha"):
             raise GraphInputError("--dirac is a preset of --method large-alpha")
         method = "dirac"
@@ -220,14 +221,13 @@ def _cmd_clique(args: argparse.Namespace) -> int:
         )
         method = "regular" if regular_fit else "general"
 
-    exact_alpha = getattr(args, "exact_alpha", False)
-    if exact_alpha and method != "general":
+    if args.exact_alpha and method != "general":
         raise GraphInputError("--exact-alpha applies to the general method only")
     if method == "regular":
         cert = extract_regular(g)
     elif method == "general":
         cert = extract_general(
-            g, exact_alpha=exact_alpha, oracle_limit=args.oracle_limit
+            g, exact_alpha=args.exact_alpha, oracle_limit=args.oracle_limit
         )
     elif method == "triple":
         cert = extract_triple(g)

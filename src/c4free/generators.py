@@ -99,27 +99,21 @@ def clique_substitution(base: Graph, sizes: Sequence[int]) -> Graph:
             raise GraphInputError(f"group sizes must be non-negative, got {s}")
     require_c4free(base)
 
-    offsets = []
+    # Row of a vertex: its own group and the groups of its base neighbours,
+    # less the vertex itself.
+    group = []
     total = 0
     for s in sizes:
-        offsets.append(total)
+        group.append(((1 << s) - 1) << total)
         total += s
-
-    def group(u: int) -> range:
-        return range(offsets[u], offsets[u] + sizes[u])
-
-    edges = []
-    for u in range(base.n):
-        for i in group(u):
-            for j in group(u):
-                if i < j:
-                    edges.append((i, j))
-        for v in range(u + 1, base.n):
-            if base.has_edge(u, v):
-                for i in group(u):
-                    for j in group(v):
-                        edges.append((i, j))
-    g = build_graph(total, edges)
+    adj = []
+    for u, s in enumerate(sizes):
+        row = group[u]
+        for v in _bit_indices(base.adj[u]):
+            row |= group[v]
+        start = len(adj)
+        adj.extend(row ^ (1 << i) for i in range(start, start + s))
+    g = Graph(n=total, adj=tuple(adj), edge_count=sum(row.bit_count() for row in adj) // 2)
     witness = find_induced_c4(g)
     if witness is not None:  # pragma: no cover - closure property
         raise InvariantViolation(

@@ -107,11 +107,6 @@ class FoundC4(NamedTuple):
         return (self.a, self.b, self.c, self.d)
 
 
-class SetClass(NamedTuple):
-    kind: str  # "clique" | "independent" | "neither"
-    also_independent: bool
-
-
 class OddCycle(NamedTuple):
     """Chordless odd cycle in cyclic vertex order."""
 
@@ -149,40 +144,24 @@ def common_neighbors(g: Graph, u: int, v: int) -> VertexSet:
     return _to_vertexset(mask)
 
 
-def classify_set(g: Graph, members: Iterable[int]) -> SetClass:
-    """Classify a vertex set as clique, independent, or neither.
-
-    Sets of size <= 1 are both; they report kind "clique" with the
-    also_independent flag raised.
-    """
+def _members_mask(g: Graph, members: Iterable[int]) -> int:
+    # Checked in ascending order, so an error names the least bad vertex.
     verts = sorted(set(members))
     for v in verts:
         _check_vertex(g, v)
-    if len(verts) <= 1:
-        return SetClass("clique", True)
-    mask = _mask_of(verts)
-    all_adjacent = True
-    none_adjacent = True
-    for v in verts:
-        inside = g.adj[v] & mask
-        if inside != mask & ~(1 << v):
-            all_adjacent = False
-        if inside:
-            none_adjacent = False
-    if all_adjacent:
-        return SetClass("clique", False)
-    if none_adjacent:
-        return SetClass("independent", False)
-    return SetClass("neither", False)
+    return _mask_of(verts)
 
 
 def is_clique(g: Graph, members: Iterable[int]) -> bool:
-    return classify_set(g, members).kind == "clique"
+    """Every two members are adjacent; sets of size <= 1 count."""
+    mask = _members_mask(g, members)
+    return all((mask & ~g.adj[v]) == 1 << v for v in _bit_indices(mask))
 
 
 def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
-    cls = classify_set(g, members)
-    return cls.kind == "independent" or cls.also_independent
+    """No two members are adjacent; sets of size <= 1 count."""
+    mask = _members_mask(g, members)
+    return not any(g.adj[v] & mask for v in _bit_indices(mask))
 
 
 def _scan_induced_c4(adj: Sequence[int], n: int, start: int = 0) -> Optional[FoundC4]:
@@ -271,20 +250,6 @@ def complement(g: Graph) -> Graph:
     adj = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
     edge_count = g.n * (g.n - 1) // 2 - g.edge_count
     return Graph(n=g.n, adj=adj, edge_count=edge_count)
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by the given vertices, relabeled 0..k-1 ascending."""
-    verts = sorted(set(vertices))
-    for v in verts:
-        _check_vertex(g, v)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u, v in itertools.combinations(verts, 2)
-        if g.has_edge(u, v)
-    ]
-    return build_graph(len(verts), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ from .generators import (
     w5_blowup,
 )
 from .graph import (
+    ORACLE_LIMIT_DEFAULT,
     Graph,
     GraphInputError,
     build_graph,
-    classify_set,
     common_neighbors,
     find_induced_c4,
     greedy_maximal_independent_set,
@@ -56,6 +56,9 @@ SUITE_NAMES = (
     "checker-equiv",
 )
 
+# Suites that test every extracted clique against the exact clique number.
+OMEGA_CHECKED = ("cycle-powers", "bounds-general", "bounds-triple", "large-alpha")
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -63,7 +66,7 @@ class SuiteConfig:
     seed: int
     samples: int
     max_n: int
-    oracle_limit: int = 48
+    oracle_limit: int = ORACLE_LIMIT_DEFAULT
     epsilon: Fraction = Fraction(1, 2)
 
     def echo(self) -> dict:
@@ -85,8 +88,6 @@ class Report:
     records: list[dict] = field(default_factory=list)
     passed: int = 0
     failed: int = 0
-    tool_version: str = __version__
-    format_version: int = 1
 
     def add(self, record: dict) -> None:
         if record["pass"]:
@@ -102,13 +103,13 @@ class Report:
     def to_json_dict(self) -> dict:
         assert self.passed + self.failed == len(self.records)
         return {
-            "format_version": self.format_version,
+            "format_version": 1,
             "suite": self.suite,
             "config": self.config,
             "records": self.records,
             "passed": self.passed,
             "failed": self.failed,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
         }
 
     def to_json(self) -> str:
@@ -132,9 +133,12 @@ def run_suite(config: SuiteConfig) -> Report:
         raise GraphInputError(f"samples must be non-negative, got {config.samples}")
     if config.oracle_limit < 0:
         raise GraphInputError(f"oracle_limit must be non-negative, got {config.oracle_limit}")
-    if config.suite == "cycle-powers" and config.oracle_limit < 5:
-        # Below the smallest instance (n = 5) no record would check omega = k + 1.
-        raise GraphInputError("suite cycle-powers needs oracle_limit >= 5")
+    if config.suite in OMEGA_CHECKED and config.oracle_limit < 5:
+        # Below the smallest instance (n = 5) no record would check a clique
+        # against omega, and every record would pass on its other tests.
+        raise GraphInputError(f"suite {config.suite} needs oracle_limit >= 5")
+    if config.suite == "cycle-powers" and config.max_n < 5:
+        raise GraphInputError("cycle-powers needs max_n >= 5")
     sampled = ("bounds-general", "bounds-triple", "large-alpha", "structure")
     if config.suite in sampled and (config.samples == 0 or config.max_n < 5):
         raise GraphInputError(f"suite {config.suite} needs samples >= 1 and max_n >= 5")
@@ -272,10 +276,7 @@ def _random_corpus(config: SuiteConfig) -> Iterator[tuple[dict, Graph]]:
 
 
 def _run_cycle_powers(config: SuiteConfig, report: Report) -> None:
-    max_k = (config.max_n - 1) // 4
-    if max_k < 1:
-        raise GraphInputError("cycle-powers needs max_n >= 5")
-    for k in range(1, max_k + 1):
+    for k in range(1, (config.max_n - 1) // 4 + 1):
         g = cycle_power(k)
         cert = extract_regular(g)
         params = {"kind": "cycle-power", "k": k}
@@ -456,7 +457,7 @@ def _detectors_agree(g: Graph) -> bool:
     # C4-freeness iff every non-adjacent pair has a clique common
     # neighborhood.
     pairs_clique = all(
-        classify_set(g, common_neighbors(g, u, v)).kind == "clique"
+        is_clique(g, common_neighbors(g, u, v))
         for u in range(g.n)
         for v in range(u + 1, g.n)
         if not g.has_edge(u, v)

@@ -4,8 +4,8 @@ The brute-force oracles deliberately avoid the library's search code:
 cliques and independent sets are found by enumerating subsets, so they
 stay an independent cross-check for the branch-and-bound oracle. The
 ``reference_*`` functions are verbatim copies of the plain code that a
-faster path in ``graph.py``, ``edgelist.py`` or ``suites.py`` replaced;
-differential tests require equal results.
+faster or smaller path in ``graph.py``, ``generators.py``, ``edgelist.py``
+or ``suites.py`` replaced; differential tests require equal results.
 """
 
 from __future__ import annotations
@@ -13,11 +13,19 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from c4free import Graph, build_graph, complement, random_c4free, w5_blowup
+from c4free import (
+    Graph,
+    GraphInputError,
+    build_graph,
+    complement,
+    find_induced_c4,
+    random_c4free,
+    w5_blowup,
+)
 from c4free.edgelist import CLI_VERTEX_LIMIT, ParseError
 from c4free.generators import SplitMix64
 from c4free.graph import (
@@ -26,7 +34,10 @@ from c4free.graph import (
     _above,
     _bit_indices,
     _canonical_cycle,
+    _check_vertex,
+    _mask_of,
     _to_vertexset,
+    require_c4free,
 )
 from c4free.suites import SuiteConfig
 
@@ -307,6 +318,89 @@ def reference_independent_set_of_size(g: Graph, t: int) -> Optional[tuple[int, .
     """``find_independent_set_of_size`` as it was built from the references."""
     mask = reference_lex_first_clique(complement(g).adj, g.full_mask, t)
     return None if mask is None else _to_vertexset(mask)
+
+
+# Verbatim copies of the three-way set classifier that the clique and
+# independent-set predicates replaced, and of the edge-list clique
+# substitution that now builds its rows from group masks.
+
+
+class SetClass(NamedTuple):
+    kind: str  # "clique" | "independent" | "neither"
+    also_independent: bool
+
+
+def reference_classify_set(g: Graph, members: Iterable[int]) -> SetClass:
+    """Classify a vertex set as clique, independent, or neither.
+
+    Sets of size <= 1 are both; they report kind "clique" with the
+    also_independent flag raised.
+    """
+    verts = sorted(set(members))
+    for v in verts:
+        _check_vertex(g, v)
+    if len(verts) <= 1:
+        return SetClass("clique", True)
+    mask = _mask_of(verts)
+    all_adjacent = True
+    none_adjacent = True
+    for v in verts:
+        inside = g.adj[v] & mask
+        if inside != mask & ~(1 << v):
+            all_adjacent = False
+        if inside:
+            none_adjacent = False
+    if all_adjacent:
+        return SetClass("clique", False)
+    if none_adjacent:
+        return SetClass("independent", False)
+    return SetClass("neither", False)
+
+
+def reference_clique_substitution(base: Graph, sizes: Sequence[int]) -> Graph:
+    """Replace each base vertex by a clique; size 0 deletes the vertex.
+
+    Two groups are joined completely iff their base vertices were
+    adjacent. Groups are laid out contiguously in ascending base-vertex
+    order. The closure property (a C4-free base gives a C4-free result)
+    is asserted on the output.
+    """
+    if len(sizes) != base.n:
+        raise GraphInputError(
+            f"sizes has length {len(sizes)}, base has {base.n} vertices"
+        )
+    for s in sizes:
+        if s < 0:
+            raise GraphInputError(f"group sizes must be non-negative, got {s}")
+    require_c4free(base)
+
+    offsets = []
+    total = 0
+    for s in sizes:
+        offsets.append(total)
+        total += s
+
+    def group(u: int) -> range:
+        return range(offsets[u], offsets[u] + sizes[u])
+
+    edges = []
+    for u in range(base.n):
+        for i in group(u):
+            for j in group(u):
+                if i < j:
+                    edges.append((i, j))
+        for v in range(u + 1, base.n):
+            if base.has_edge(u, v):
+                for i in group(u):
+                    for j in group(v):
+                        edges.append((i, j))
+    g = build_graph(total, edges)
+    witness = find_induced_c4(g)
+    if witness is not None:  # pragma: no cover - closure property
+        raise InvariantViolation(
+            f"clique substitution produced an induced 4-cycle {witness.vertices}"
+        )
+    return g
 
 
 def relabelled(g: Graph, seed: int) -> Graph:

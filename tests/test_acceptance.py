@@ -14,7 +14,6 @@ from fractions import Fraction
 from c4free import (
     SuiteConfig,
     build_graph,
-    classify_set,
     common_neighbors,
     cycle_power,
     degree_square_census,
@@ -22,6 +21,7 @@ from c4free import (
     extract_regular,
     find_independent_set_of_size,
     greedy_maximal_independent_set,
+    is_clique,
     run_suite,
 )
 from c4free.cli import main
@@ -75,7 +75,7 @@ def test_acceptance_2_regular_extractor_internals():
         if g.degree(u) + g.degree(wv) - len(x_set) != 4 * k - 1:
             failures.append(f"k={k}: degree count is not 4k-1")
         for name in ("U1", "W1"):
-            if classify_set(g, w[name]).kind != "clique":
+            if not is_clique(g, w[name]):
                 failures.append(f"k={k}: {name} is not a clique")
         cover_u = set(w["U1"]) | {u, x}
         cover_w = set(w["W1"]) | {wv, x}

@@ -335,6 +335,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite, limit", [
         ("cycle-powers", "0"), ("cycle-powers", "-5"), ("bounds-general", "-1"),
+        ("cycle-powers", "4"), ("bounds-general", "4"), ("bounds-triple", "4"),
+        ("large-alpha", "4"),
     ])
     def test_low_oracle_limit_usage_error(self, capsys, suite, limit):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--oracle-limit", limit)

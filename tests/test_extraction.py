@@ -13,7 +13,6 @@ from c4free import (
     best_pair_intersection,
     build_graph,
     check_certificate,
-    classify_set,
     clique_substitution,
     common_neighbors,
     cycle_power,
@@ -24,6 +23,7 @@ from c4free import (
     extract_triple,
     find_dominating_nonadjacent_pair,
     greedy_maximal_independent_set,
+    is_clique,
     max_clique_exact,
 )
 from c4free.extraction import METHOD_STRUCTURE, METHOD_TRIPLE
@@ -93,8 +93,8 @@ class TestExtractRegular:
         u1, w1 = set(w["U1"]), set(w["W1"])
         assert u1 == set(g.neighbors(x)) & (set(g.neighbors(u)) - {x})
         assert w1 == set(g.neighbors(x)) & (set(g.neighbors(wv)) - {x})
-        assert classify_set(g, u1).kind == "clique"
-        assert classify_set(g, w1).kind == "clique"
+        assert is_clique(g, u1)
+        assert is_clique(g, w1)
         cover_u = u1 | {u, x}
         cover_w = w1 | {wv, x}
         outside = set(range(g.n)) - set(w["U2"]) - set(w["W2"])
@@ -259,7 +259,7 @@ class TestExtractGeneral:
         bound = Fraction(delta * delta, 2 * g.n + delta)
         assert cert.guaranteed_bound == (bound if delta else Fraction(0))
         assert cert.size >= math.ceil(bound)
-        assert classify_set(g, cert.clique).kind == "clique"
+        assert is_clique(g, cert.clique)
         assert cert.size <= len(max_clique_exact(g))
 
     @settings(max_examples=40, deadline=None)
@@ -316,7 +316,7 @@ class TestExtractTriple:
             assert Fraction(cert.size) > bound
         else:
             assert cert.size >= math.ceil(Fraction(2 * g.n, 5))
-        assert classify_set(g, cert.clique).kind == "clique"
+        assert is_clique(g, cert.clique)
         assert cert.size <= len(max_clique_exact(g)) or cert.size == 0
 
 
@@ -369,7 +369,7 @@ class TestExtractLargeAlpha:
         cert = extract_large_alpha(g, s, eps)
         if cert.precondition_met:
             assert Fraction(cert.size) >= cert.guaranteed_bound
-        assert classify_set(g, cert.clique).kind == "clique"
+        assert is_clique(g, cert.clique)
 
 
 class TestExtractDirac:

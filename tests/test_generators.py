@@ -22,7 +22,14 @@ from c4free import (
     w5_blowup,
 )
 from c4free.generators import SplitMix64, _co_bipartite_c4free, _sample_edge_masks
-from helpers import cycle, path, reference_scan
+from helpers import (
+    c4free_graphs,
+    cycle,
+    path,
+    raw_graphs,
+    reference_clique_substitution,
+    reference_scan,
+)
 
 
 class TestCyclePower:
@@ -103,6 +110,50 @@ class TestCliqueSubstitution:
         blown = clique_substitution(base, sizes)
         assert blown.n <= 30
         assert find_induced_c4(blown) is None
+
+
+def _substitution_outcome(substitute, base, sizes):
+    # A Graph compares equal on n, adj and edge_count; a refusal on its text.
+    try:
+        return substitute(base, sizes)
+    except GraphInputError as exc:
+        return str(exc)
+
+
+class TestSubstitutionMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(c4free_graphs(max_n=10), raw_graphs(max_n=6)), st.data())
+    def test_random_bases(self, base, data):
+        # Raw bases often hold an induced C4, so the refusal is compared too.
+        sizes = data.draw(st.lists(
+            st.integers(min_value=0, max_value=4), min_size=base.n, max_size=base.n
+        ))
+        assert _substitution_outcome(clique_substitution, base, sizes) == (
+            _substitution_outcome(reference_clique_substitution, base, sizes)
+        )
+
+    @pytest.mark.parametrize("sizes", [[1, 1, 1, 1], [1, 1, -1, 1, 1], [0, 0, 0, 0, 0]])
+    def test_size_checks(self, sizes):
+        assert _substitution_outcome(clique_substitution, cycle(5), sizes) == (
+            _substitution_outcome(reference_clique_substitution, cycle(5), sizes)
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_cycle_powers(self, k):
+        base = cycle_power(k)
+        for sizes in ([1] * base.n, [(v * 7) % 4 for v in range(base.n)]):
+            assert _substitution_outcome(clique_substitution, base, sizes) == (
+                _substitution_outcome(reference_clique_substitution, base, sizes)
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=8), min_size=6, max_size=6))
+    def test_w5_blowups(self, sizes):
+        assert w5_blowup(sizes) == reference_clique_substitution(w5_base(), sizes)
+
+    def test_largest_benchmark_blowup(self):
+        sizes = (30,) * 6
+        assert w5_blowup(sizes) == reference_clique_substitution(w5_base(), sizes)
 
 
 class TestW5Blowup:

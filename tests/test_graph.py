@@ -12,7 +12,6 @@ from c4free import (
     OracleLimitError,
     bipartition,
     build_graph,
-    classify_set,
     common_neighbors,
     complement,
     cycle_power,
@@ -20,7 +19,8 @@ from c4free import (
     find_induced_c4,
     greedy_maximal_independent_set,
     has_induced_c4_naive,
-    induced_subgraph,
+    is_clique,
+    is_independent_set,
     max_clique_exact,
     max_independent_set_exact,
     w5_blowup,
@@ -43,6 +43,7 @@ from helpers import (
     house,
     path,
     raw_graphs,
+    reference_classify_set,
     reference_clique_search,
     reference_color_order,
     reference_independent_set_of_size,
@@ -115,20 +116,50 @@ class TestCommonNeighbors:
 
 
 class TestClassifySet:
+    """``is_clique`` and ``is_independent_set`` sort a set into one of three kinds."""
+
     def test_independent_pair(self):
-        assert classify_set(cycle(5), [0, 2]).kind == "independent"
+        assert is_independent_set(cycle(5), [0, 2])
+        assert not is_clique(cycle(5), [0, 2])
 
     def test_clique(self):
-        assert classify_set(complete(4), [0, 1, 2]).kind == "clique"
+        assert is_clique(complete(4), [0, 1, 2])
+        assert not is_independent_set(complete(4), [0, 1, 2])
 
     def test_neither(self):
-        assert classify_set(cycle(5), [0, 1, 2]).kind == "neither"
+        assert not is_clique(cycle(5), [0, 1, 2])
+        assert not is_independent_set(cycle(5), [0, 1, 2])
 
     def test_small_sets_are_both(self):
-        for members in ([], [3]):
-            result = classify_set(cycle(5), members)
-            assert result.kind == "clique"
-            assert result.also_independent
+        for members in ([], [3], [3, 3]):
+            assert is_clique(cycle(5), members)
+            assert is_independent_set(cycle(5), members)
+
+    @pytest.mark.parametrize("predicate", [is_clique, is_independent_set])
+    def test_out_of_range_names_the_least_bad_vertex(self, predicate):
+        with pytest.raises(GraphInputError, match=r"^vertex -2 out of range for n=5$"):
+            predicate(cycle(5), [9, 1, -2, 7])
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw_graphs(max_n=10), st.data())
+    def test_predicates_match_reference_classifier(self, g, data):
+        # Half the lists stay inside 0..n-1; the rest may hold bad vertices.
+        members = data.draw(st.one_of(
+            st.lists(st.integers(min_value=0, max_value=max(g.n - 1, 0)), max_size=g.n),
+            st.lists(st.integers(min_value=-2, max_value=g.n + 1), max_size=8),
+        ))
+        try:
+            expected = reference_classify_set(g, members)
+        except GraphInputError as exc:
+            for predicate in (is_clique, is_independent_set):
+                with pytest.raises(GraphInputError) as got:
+                    predicate(g, members)
+                assert str(got.value) == str(exc)
+            return
+        assert is_clique(g, members) == (expected.kind == "clique")
+        assert is_independent_set(g, members) == (
+            expected.kind == "independent" or expected.also_independent
+        )
 
 
 class TestFindInducedC4:
@@ -169,7 +200,7 @@ class TestFindInducedC4:
     @given(raw_graphs(max_n=10))
     def test_c4free_iff_charged_pairs_have_clique_intersections(self, g):
         pairs_clique = all(
-            classify_set(g, common_neighbors(g, u, v)).kind == "clique"
+            is_clique(g, common_neighbors(g, u, v))
             for u in range(g.n)
             for v in range(u + 1, g.n)
             if not g.has_edge(u, v)
@@ -290,7 +321,11 @@ class TestExactOracles:
     @given(raw_graphs(max_n=9))
     def test_monotone_under_induced_subgraphs(self, g):
         keep = [v for v in range(g.n) if v % 2 == 0]
-        sub = induced_subgraph(g, keep)
+        sub = build_graph(len(keep), [
+            (i, j)
+            for (i, u), (j, v) in itertools.combinations(enumerate(keep), 2)
+            if g.has_edge(u, v)
+        ])
         assert len(max_clique_exact(sub)) <= len(max_clique_exact(g))
 
 

@@ -17,8 +17,8 @@ from c4free import (
     cycle_power,
     find_certificate_violation,
     is_c4_free,
+    is_clique,
     max_independent_set_exact,
-    classify_set,
     verify_certificate,
     w5_base,
     w5_blowup,
@@ -146,7 +146,7 @@ class TestCliqueFromCertificate:
         cert = alpha2_decompose(g)
         assert verify_certificate(g, cert)
         clique = clique_from_certificate(g, cert)
-        assert classify_set(g, clique).kind == "clique"
+        assert is_clique(g, clique)
         assert len(clique) >= math.ceil(Fraction(2 * g.n, 5))
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from c4free import GraphInputError, Report, SuiteConfig, run_suite
-from c4free.suites import SUITE_NAMES, _random_corpus
+from c4free import suites
+from c4free.suites import OMEGA_CHECKED, SUITE_NAMES, _random_corpus
 from helpers import reference_random_corpus
 
 
@@ -41,16 +42,33 @@ class TestRunSuite:
         with pytest.raises(GraphInputError):
             run_suite(_config(suite, **overrides))
 
+    def test_cycle_powers_refuses_max_n_below_5_before_running(self, monkeypatch):
+        # Refused with the other config checks: the runner is never reached.
+        def runner(config, report):
+            raise AssertionError("runner reached")
+
+        monkeypatch.setattr(suites, "_run_cycle_powers", runner)
+        with pytest.raises(GraphInputError, match=r"^cycle-powers needs max_n >= 5$"):
+            run_suite(_config("cycle-powers", max_n=4))
+
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_negative_oracle_limit_rejected(self, suite):
         with pytest.raises(GraphInputError, match="oracle_limit must be non-negative"):
             run_suite(_config(suite, samples=1, oracle_limit=-1))
 
     @pytest.mark.parametrize("limit", [-5, 0, 4])
-    def test_cycle_powers_needs_the_oracle(self, limit):
-        # Below n = 5 every record had omega null, so omega = k + 1 went unchecked.
-        with pytest.raises(GraphInputError, match="oracle_limit"):
-            run_suite(_config("cycle-powers", oracle_limit=limit))
+    @pytest.mark.parametrize("suite", OMEGA_CHECKED)
+    def test_omega_suites_need_the_oracle(self, suite, limit):
+        # Below n = 5 every record had omega null, so no clique met omega.
+        message = f"suite {suite} needs oracle_limit >= 5" if limit >= 0 else "oracle_limit"
+        with pytest.raises(GraphInputError, match=message):
+            run_suite(_config(suite, oracle_limit=limit))
+
+    def test_structure_runs_without_the_oracle(self):
+        # structure only reports omega; its pass never depends on it.
+        report = run_suite(_config("structure", samples=4, oracle_limit=4))
+        assert [r["omega"] for r in report.records] == [None] * 4
+        assert report.all_passed()
 
     def test_cycle_powers_checks_omega_from_the_smallest_instance(self):
         report = run_suite(_config("cycle-powers", max_n=9, oracle_limit=5))

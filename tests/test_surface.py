@@ -1,0 +1,44 @@
+"""The package root exports only what the CLI, the benchmark and the tests use."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import c4free
+
+PACKAGE_DIR = Path(c4free.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _root_imports(path: Path, relative: bool) -> set[str]:
+    # Names taken from the package root: `from c4free import x` and
+    # `c4free.x`, or `from . import x` inside the package.
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            root = (node.level, node.module) == ((1, None) if relative else (0, "c4free"))
+            if root:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "c4free" and not relative:
+                names.add(node.attr)
+    return names
+
+
+def _used_names() -> set[str]:
+    used = _root_imports(PACKAGE_DIR / "cli.py", relative=True)
+    for folder in (REPO / "tests", REPO / "perfbench"):
+        for path in folder.rglob("*.py"):
+            used |= _root_imports(path, relative=False)
+    return used
+
+
+def test_every_export_resolves():
+    missing = [name for name in c4free.__all__ if not hasattr(c4free, name)]
+    assert missing == []
+
+
+def test_every_export_has_a_caller():
+    unused = sorted(set(c4free.__all__) - _used_names())
+    assert unused == []
