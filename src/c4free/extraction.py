@@ -509,9 +509,6 @@ def extract_large_alpha(
     if n == 0:
         raise GraphInputError("cannot extract a clique from the empty graph")
     s = sorted(set(members))
-    for v in s:
-        if not (0 <= v < n):
-            raise GraphInputError(f"vertex {v} out of range for n={n}")
     if not is_independent_set(g, s):
         raise GraphInputError(f"set {tuple(s)} is not independent")
 

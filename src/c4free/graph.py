@@ -273,83 +273,71 @@ def greedy_maximal_independent_set(g: Graph) -> VertexSet:
     return _to_vertexset(_maximal_extend(g, 0))
 
 
-def _color_order(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
-    # Greedy coloring of the vertices in mask; returns (vertex, bound) with
-    # vertices grouped by color class, bound = class index + 1. Classes are
-    # peeled as bitsets: each is the ascending greedy maximal independent set
-    # of the vertices not yet colored, which is exactly the class that
-    # ascending sequential greedy coloring gives, so the order is the same.
+def _suffix_bounds(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
+    # Greedy colouring of mask in descending vertex order, each class peeled
+    # as a bitset. A class opens at its highest vertex, so the classes opened
+    # at or above v bound any clique in mask whose least vertex is v. Returns
+    # (v, bound) in descending v, so list.pop() yields ascending v.
     order = []
-    color = 0
-    while mask:
-        color += 1
-        cand = mask
+    rest = mask
+    hi = mask.bit_length()
+    bound = 0
+    while rest:
+        bound += 1
+        cand = rest
         while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            order.append((v, color))
-            mask ^= bit
+            v = cand.bit_length() - 1
+            bit = 1 << v
+            rest ^= bit
             cand &= ~adj[v] ^ bit
+        lo = rest.bit_length()
+        seg = mask & ((1 << hi) - (1 << lo))
+        while seg:
+            v = seg.bit_length() - 1
+            order.append((v, bound))
+            seg ^= 1 << v
+        hi = lo
     return order
 
 
-def _clique_search(adj: tuple[int, ...], cand: int, beat: int, stop: int) -> int:
-    # Size of the largest clique inside cand when it exceeds beat, else beat.
-    # Branches that cannot beat the best size so far are cut by the greedy
-    # coloring bound, and the search ends once a clique of size stop is found.
-    # Depth first with an explicit stack, so the depth is not bounded by
-    # Python's recursion limit: each level branches on its colored vertices
-    # from the highest bound down, and a parent level waits on the stack.
-    if cand.bit_count() <= beat:
-        return beat
-    if not cand or stop <= 0:  # the empty clique answers
-        return max(beat, 0)
-    best = beat
-    stack: list[tuple[int, int, list[tuple[int, int]]]] = []
-    size, mask, order = 0, cand, _color_order(adj, cand)
+def _lex_clique(adj: tuple[int, ...], cand: int, stop: int) -> int:
+    # Lexicographically least clique of size min(omega(cand), stop), as a mask.
+    # Depth first in ascending vertex order with an explicit stack, so the
+    # depth is not bounded by Python's recursion limit. Cliques are reached in
+    # lexicographic preorder and one is kept only when it beats the best size
+    # so far, so the first clique of each size reached is the least of that
+    # size. A node stops branching once size + bound <= best; bounds never
+    # increase along ascending v, so every later vertex is cut as well.
+    if stop <= 0:
+        return 0
+    best, best_mask = 0, 0
+    stack: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    size, chosen, mask, order = 0, 0, cand, _suffix_bounds(adj, cand)
     while True:
         if order and size + order[-1][1] > best:
             v = order.pop()[0]
-            mask ^= 1 << v
-            sub = mask & adj[v]
-            if sub and size + 1 < stop:
-                stack.append((size, mask, order))
-                size, mask, order = size + 1, sub, _color_order(adj, sub)
-            elif size + 1 > best:
-                best = size + 1
+            bit = 1 << v
+            mask ^= bit
+            clique = chosen | bit
+            if size + 1 > best:
+                best, best_mask = size + 1, clique
                 if best >= stop:
-                    return best
+                    return best_mask
+            sub = mask & adj[v]
+            if sub:
+                stack.append((size, chosen, mask, order))
+                size, chosen, mask, order = size + 1, clique, sub, _suffix_bounds(adj, sub)
         elif stack:
-            size, mask, order = stack.pop()
+            size, chosen, mask, order = stack.pop()
         else:
-            return best
-
-
-def _lex_first_clique(adj: tuple[int, ...], cand: int, k: int) -> int:
-    # Lexicographically least k-clique inside cand, as a mask; the caller
-    # knows one exists. Greedy prefix extension: each chosen vertex is the
-    # smallest whose upward neighborhood still completes to the required size.
-    chosen = 0
-    remaining = cand
-    for depth in range(k):
-        need_rest = k - depth - 1
-        for v in _bit_indices(remaining):
-            nxt = remaining & adj[v] & _above(v)
-            if _clique_search(adj, nxt, need_rest - 1, need_rest) == need_rest:
-                chosen |= 1 << v
-                remaining = nxt
-                break
-        else:  # pragma: no cover - the caller said a completion exists
-            raise InvariantViolation("lexicographic clique extension lost its target")
-    return chosen
+            return best_mask
 
 
 def max_clique_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
     """Maximum clique by branch and bound; lexicographically least on ties."""
     if g.n > limit:
         raise OracleLimitError(f"oracle limit: n={g.n} exceeds limit {limit}")
-    omega = _clique_search(g.adj, g.full_mask, 0, g.n)
-    return _to_vertexset(_lex_first_clique(g.adj, g.full_mask, omega))
+    return _to_vertexset(_lex_clique(g.adj, g.full_mask, g.n))
 
 
 def max_independent_set_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
@@ -361,10 +349,8 @@ def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
     """Lexicographically least independent set of size exactly t, or None."""
     if t < 1:
         raise GraphInputError(f"size must be at least 1, got {t}")
-    adj = complement(g).adj
-    if _clique_search(adj, g.full_mask, t - 1, t) < t:
-        return None
-    return _to_vertexset(_lex_first_clique(adj, g.full_mask, t))
+    mask = _lex_clique(complement(g).adj, g.full_mask, t)
+    return _to_vertexset(mask) if mask.bit_count() == t else None
 
 
 # ---------------------------------------------------------------------------

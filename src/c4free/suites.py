@@ -139,6 +139,9 @@ def run_suite(config: SuiteConfig) -> Report:
         raise GraphInputError(f"suite {config.suite} needs oracle_limit >= 5")
     if config.suite == "cycle-powers" and config.max_n < 5:
         raise GraphInputError("cycle-powers needs max_n >= 5")
+    if config.suite == "checker-equiv" and config.max_n < 4:
+        # No graph below 4 vertices holds an induced C4.
+        raise GraphInputError("checker-equiv needs max_n >= 4")
     sampled = ("bounds-general", "bounds-triple", "large-alpha", "structure")
     if config.suite in sampled and (config.samples == 0 or config.max_n < 5):
         raise GraphInputError(f"suite {config.suite} needs samples >= 1 and max_n >= 5")

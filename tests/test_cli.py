@@ -327,11 +327,18 @@ class TestVerify:
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
 
-    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--max-n", "3"]])
+    @pytest.mark.parametrize("flags", [
+        ["--suite", "bounds-general", "--samples", "0"],
+        ["--suite", "bounds-general", "--max-n", "3"],
+        ["--suite", "checker-equiv", "--samples", "0", "--max-n", "-1"],
+        ["--suite", "checker-equiv", "--max-n", "3"],
+        ["--suite", "checker-equiv", "--samples", "3", "--max-n", "0"],
+    ])
     def test_vacuous_config_usage_error(self, capsys, flags):
-        code, out, err = run_cli(capsys, "verify", "--suite", "bounds-general", *flags)
+        code, out, err = run_cli(capsys, "verify", *flags)
         assert code == 2
         assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "max_n" in err
 
     @pytest.mark.parametrize("suite, limit", [
         ("cycle-powers", "0"), ("cycle-powers", "-5"), ("bounds-general", "-1"),

@@ -354,6 +354,12 @@ class TestExtractLargeAlpha:
         with pytest.raises(GraphInputError):
             extract_large_alpha(cycle(5), [0, 1], Fraction(1, 2))
 
+    @pytest.mark.parametrize("members, bad", [([0, 5], 5), ([7, -1, 2, 5], -1), ([9, 6], 6)])
+    def test_out_of_range_member_names_the_least(self, members, bad):
+        message = rf"^vertex {bad} out of range for n=5$"
+        with pytest.raises(GraphInputError, match=message):
+            extract_large_alpha(cycle(5), members, Fraction(1, 2))
+
     def test_bad_epsilon_rejected(self):
         for eps in (Fraction(0), Fraction(1), Fraction(3, 2)):
             with pytest.raises(GraphInputError):

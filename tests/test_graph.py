@@ -28,9 +28,8 @@ from c4free import (
 from c4free import graph as graph_module
 from c4free.graph import (
     InvariantViolation,
-    _clique_search,
-    _color_order,
     _has_triangle,
+    _lex_clique,
     _scan_induced_c4,
     _shortest_odd_cycle,
 )
@@ -45,8 +44,8 @@ from helpers import (
     raw_graphs,
     reference_classify_set,
     reference_clique_search,
-    reference_color_order,
     reference_independent_set_of_size,
+    reference_lex_first_clique,
     reference_max_clique,
     reference_scan,
     reference_shortest_odd_cycle,
@@ -421,20 +420,13 @@ class TestAgainstReferences:
 
     @settings(max_examples=200, deadline=None)
     @given(raw_graphs(max_n=14), st.booleans(), st.data())
-    def test_color_order_matches_reference(self, g, flip, data):
+    def test_lex_clique_matches_reference(self, g, flip, data):
         g = complement(g) if flip else g
         mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
-        assert _color_order(g.adj, mask) == reference_color_order(g.adj, mask)
-
-    @settings(max_examples=200, deadline=None)
-    @given(raw_graphs(max_n=14), st.booleans(), st.data())
-    def test_clique_search_matches_reference(self, g, flip, data):
-        g = complement(g) if flip else g
-        mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
-        beat = data.draw(st.integers(min_value=-1, max_value=g.n))
-        stop = data.draw(st.integers(min_value=0, max_value=g.n + 1))
-        got = _clique_search(g.adj, mask, beat, stop)
-        assert got == reference_clique_search(g.adj, mask, beat, stop)
+        omega = reference_clique_search(g.adj, mask, 0, g.n)
+        for stop in range(g.n + 2):
+            expected = reference_lex_first_clique(g.adj, mask, min(stop, omega))
+            assert _lex_clique(g.adj, mask, stop) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(raw_graphs(max_n=14), st.booleans())

@@ -75,6 +75,18 @@ class TestRunSuite:
         assert [r["omega"] for r in report.records] == [2, None]
         assert report.all_passed()
 
+    @pytest.mark.parametrize("samples, max_n", [(0, -1), (4, 3), (3, 0)])
+    def test_checker_equiv_refuses_max_n_below_4_before_running(
+        self, monkeypatch, samples, max_n
+    ):
+        # Below 4 vertices no graph holds an induced C4, so every record passes.
+        def runner(config, report):
+            raise AssertionError("runner reached")
+
+        monkeypatch.setattr(suites, "_run_checker_equiv", runner)
+        with pytest.raises(GraphInputError, match=r"^checker-equiv needs max_n >= 4$"):
+            run_suite(_config("checker-equiv", samples=samples, max_n=max_n))
+
     def test_checker_equiv_accepts_zero_samples(self):
         report = run_suite(_config("checker-equiv", samples=0, max_n=4))
         assert report.all_passed()
