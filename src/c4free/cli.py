@@ -286,6 +286,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Seeds are taken mod 2**64 below, so two spellings of one stream are refused.
+        if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+            raise GraphInputError(f"--seed must be in [0, 2**64), got {args.seed}")
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "check":

@@ -8,6 +8,7 @@ splitmix64 (pinned by name and version in suite configs) so the same
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 from .graph import (
@@ -26,6 +27,7 @@ from .graph import (
 RNG_NAME = "splitmix64-v1"
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -39,7 +41,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -51,10 +53,52 @@ class SplitMix64:
             raise GraphInputError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
 
-    def chance(self, p: Fraction) -> bool:
-        """True with probability p, decided by exact integer comparison."""
-        x = self.next_u64()
-        return x * p.denominator < p.numerator << 64
+
+# The edge samplers run the stream in chunks of _LANES draws held in one int:
+# draw j of a chunk sits in bits [128j, 128j + 64), so each 64x64-bit product
+# of the mixer fits in its 128-bit slot.
+_LANES = 1024
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _LANES, "little")
+_LANE_MASK = _ONES * _MASK64
+# Lane j: (j + 1) * gamma mod 2**64, the state of draw j less the chunk's seed.
+_STEPS = int.from_bytes(
+    b"".join(map(int.to_bytes, range(1, _LANES + 1), repeat(16), repeat("little"))), "little"
+) * _GAMMA & _LANE_MASK
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# Pair slots of a row on side 0 or side 1: 1 for a same-side pair, % for a cross pair.
+_SLOTS = (bytes.maketrans(b"\0\1", b"\1%"), bytes.maketrans(b"\0\1", b"%\1"))
+
+
+def _draws_below(seed: int, count: int, threshold: int) -> bytearray:
+    """Byte k is 1 iff output k of SplitMix64(seed) is below threshold."""
+    flags = bytearray(count)
+    for start in range(0, count, _LANES):
+        m = min(_LANES, count - start)
+        low = (1 << 128 * m) - 1
+        ones, lanes = _ONES & low, _LANE_MASK & low
+        # next_u64 on every lane; the AND after each shift clears the bits
+        # shifted in from the lane above.
+        z = ((seed + start * _GAMMA & _MASK64) * ones + (_STEPS & low)) & lanes
+        z = ((z ^ z >> 30) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+        z = ((z ^ z >> 27) & lanes) * 0x94D049BB133111EB & lanes
+        z = (z ^ z >> 31) & lanes
+        # threshold + 2**64 - 1 - z carries into bit 64 of its lane iff z < threshold.
+        below = (threshold + _MASK64) * ones - z
+        flags[start:start + m] = below.to_bytes(16 * m, "little")[8::16]
+    return flags
+
+
+def _pair_rows(n: int, flags: bytes) -> list[int]:
+    """Adjacency rows from one 0/1 byte per pair (0,1), (0,2), ..., (n-2,n-1)."""
+    # Reversed, the pairs fill the lower triangle of an n x n grid of digits
+    # row by row, where row and column r both stand for vertex n-1-r. Read as
+    # a binary numeral, a grid row or column then has bit v at vertex v: the
+    # row of vertex n-1-r is grid row r left of the diagonal, column r below.
+    tri = flags[::-1].translate(_DIGITS)
+    grid = bytearray(b"0") * (n * n)
+    for r in range(1, n):
+        grid[r * n:r * n + r] = tri[r * (r - 1) // 2:r * (r + 1) // 2]
+    return [int(grid[r * n:r * n + r] + grid[r * (n + 1)::n], 2) for r in reversed(range(n))]
 
 
 def cycle_power(k: int) -> Graph:
@@ -113,7 +157,7 @@ def clique_substitution(base: Graph, sizes: Sequence[int]) -> Graph:
             row |= group[v]
         start = len(adj)
         adj.extend(row ^ (1 << i) for i in range(start, start + s))
-    g = Graph(n=total, adj=tuple(adj), edge_count=sum(row.bit_count() for row in adj) // 2)
+    g = _graph_of(adj)
     witness = find_induced_c4(g)
     if witness is not None:  # pragma: no cover - closure property
         raise InvariantViolation(
@@ -142,15 +186,10 @@ def w5_blowup(sizes: Sequence[int]) -> Graph:
 
 
 def _sample_edge_masks(n: int, p: Fraction, seed: int) -> list[int]:
-    # Pair order (0,1), (0,2), ..., (0,n-1), (1,2), ...: one stream draw each.
-    rng = SplitMix64(seed)
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.chance(p):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return adj
+    # One stream draw per pair in pair order; an integer draw is below p * 2**64
+    # iff it is below the ceiling.
+    threshold = -((-p.numerator << 64) // p.denominator)
+    return _pair_rows(n, _draws_below(seed, n * (n - 1) // 2, threshold))
 
 
 def random_c4free(
@@ -192,16 +231,12 @@ def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
     at row min(a, y), y the least vertex of N(a) XOR N(c) other than a and
     c, since only pairs joining a or c to that set gain a common neighbour.
     """
-    rng = SplitMix64(seed)
-    half = Fraction(1, 2)
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            same_side = bool(side_mask >> u & 1) == bool(side_mask >> v & 1)
-            if same_side or rng.chance(half):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return _repair(adj, n, _add_chord)
+    side = bytes(side_mask >> v & 1 for v in range(n))
+    # Same-side pairs are edges. Each cross pair is a %c slot, filled in pair
+    # order from the stream with p = 1/2.
+    slots = b"".join(side[u + 1:].translate(_SLOTS[side[u]]) for u in range(n))
+    draws = _draws_below(seed, slots.count(b"%"), 1 << 63)
+    return _repair(_pair_rows(n, slots.replace(b"%", b"%c") % tuple(draws)), n, _add_chord)
 
 
 def _repair(adj: list[int], n: int, fix: Callable[[list[int], FoundC4], int]) -> Graph:
@@ -212,7 +247,11 @@ def _repair(adj: list[int], n: int, fix: Callable[[list[int], FoundC4], int]) ->
         start = fix(adj, witness)
     if start and (witness := _scan_induced_c4(adj, n)) is not None:
         raise InvariantViolation(f"repair resumed past the induced 4-cycle {witness.vertices}")
-    return Graph(n=n, adj=tuple(adj), edge_count=sum(row.bit_count() for row in adj) // 2)
+    return _graph_of(adj)
+
+
+def _graph_of(adj: list[int]) -> Graph:
+    return Graph(n=len(adj), adj=tuple(adj), edge_count=sum(row.bit_count() for row in adj) // 2)
 
 
 def _delete_edge(adj: list[int], witness: FoundC4) -> int:

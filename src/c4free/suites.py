@@ -29,6 +29,8 @@ from .generators import (
     RNG_NAME,
     SplitMix64,
     _co_bipartite_c4free,
+    _graph_of,
+    _sample_edge_masks,
     cycle_power,
     random_c4free,
     w5_blowup,
@@ -422,14 +424,7 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
         n = 1 + rng.next_below(min(12, config.max_n))
         p = Fraction(5 + rng.next_below(90), 100)
         inst_seed = rng.next_u64()
-        inner = SplitMix64(inst_seed)
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if inner.chance(p)
-        ]
-        g = build_graph(n, edges)
+        g = _graph_of(_sample_edge_masks(n, p, inst_seed))
         report.add(_record(
             f"checker-equiv-random-{idx:04d}",
             {"kind": "raw-random", "n": n, "p": str(p), "seed": inst_seed},

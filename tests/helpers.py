@@ -181,6 +181,43 @@ def reference_random_corpus(config: SuiteConfig) -> Iterator[tuple[dict, Graph]]
         yield params, g
 
 
+# Verbatim copies of the per-pair samplers that the lane kernel in
+# ``generators.py`` replaced, and of the ``SplitMix64.chance`` they drew with.
+
+
+class ReferenceSplitMix64(SplitMix64):
+    def chance(self, p: Fraction) -> bool:
+        """True with probability p, decided by exact integer comparison."""
+        x = self.next_u64()
+        return x * p.denominator < p.numerator << 64
+
+
+def reference_sample_edge_masks(n: int, p: Fraction, seed: int) -> list[int]:
+    # Pair order (0,1), (0,2), ..., (0,n-1), (1,2), ...: one stream draw each.
+    rng = ReferenceSplitMix64(seed)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.chance(p):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def reference_co_bipartite_sample(n: int, side_mask: int, seed: int) -> list[int]:
+    """The sampling loop of ``generators._co_bipartite_c4free``, before repair."""
+    rng = ReferenceSplitMix64(seed)
+    half = Fraction(1, 2)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            same_side = bool(side_mask >> u & 1) == bool(side_mask >> v & 1)
+            if same_side or rng.chance(half):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
 # Verbatim copies of the per-source BFS odd-cycle search, the sequential
 # greedy coloring and the recursive branch and bound, with its opening
 # existence search, that the bit-parallel code in ``graph.py`` replaced.

@@ -45,6 +45,18 @@ class TestGen:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_random_seed_range_ends(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "gen", "random", "--n", "6", "--p", "1/2", "--seed", seed)
+        assert code == 0 and parse_graph(out).n == 6
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(-(2**64))])
+    def test_out_of_range_seed_is_usage_error(self, capsys, seed):
+        code, out, err = run_cli(capsys, "gen", "random", "--n", "6", "--p", "1/2", "--seed", seed)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "--seed" in err
+
     def test_bad_k_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "gen", "cycle-power", "--k", "0")
         assert code == 2
@@ -371,6 +383,24 @@ class TestVerify:
         assert target.read_text() == "x" * 100_000
         assert run_cli(capsys, *args, "--max-n", "9")[0] == 0
         assert json.loads(target.read_text())["passed"] == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_usage_error(self, capsys, seed):
+        # -1 and 2**64 - 1 would otherwise run the same stream.
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "checker-equiv", "--samples", "2", "--max-n", "5",
+            "--seed", seed,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "--seed" in err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "checker-equiv", "--samples", "2", "--max-n", "5",
+            "--seed", str(2**64 - 1),
+        )
+        assert code == 0 and out.startswith("checker-equiv: ")
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")

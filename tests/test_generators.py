@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import c4free.generators as generators
@@ -21,13 +21,21 @@ from c4free import (
     w5_base,
     w5_blowup,
 )
-from c4free.generators import SplitMix64, _co_bipartite_c4free, _sample_edge_masks
+from c4free.generators import (
+    SplitMix64,
+    _co_bipartite_c4free,
+    _draws_below,
+    _sample_edge_masks,
+)
 from helpers import (
+    ReferenceSplitMix64,
     c4free_graphs,
     cycle,
     path,
     raw_graphs,
     reference_clique_substitution,
+    reference_co_bipartite_sample,
+    reference_sample_edge_masks,
     reference_scan,
 )
 
@@ -351,3 +359,76 @@ class TestResumedRepair:
         monkeypatch.setattr(generators, fix_name, skip_to_end)
         with pytest.raises(InvariantViolation):
             make()
+
+
+# Seeds outside [0, 2**64) are taken mod 2**64, as SplitMix64 does.
+seeds = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=-(2**70), max_value=-1),
+    st.integers(min_value=2**64, max_value=2**70),
+)
+# p = 0 and 1, and non-dyadic p whose threshold p * 2**64 must be rounded up.
+probabilities = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(6, 29), Fraction(1, 2)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+)
+
+
+class TestLaneDraws:
+    """The lane kernel against the per-pair loops it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=seeds, count=st.integers(min_value=0, max_value=2600), data=st.data())
+    def test_flags_match_the_stream(self, seed, count, data):
+        # Thresholds sit on and next to drawn values, across chunk borders.
+        rng = ReferenceSplitMix64(seed)
+        stream = [rng.next_u64() for _ in range(count)]
+        k = data.draw(st.integers(min_value=0, max_value=max(count - 1, 0)))
+        pivot = stream[k] if stream else 0
+        threshold = data.draw(st.one_of(
+            st.sampled_from([0, 2**64, pivot, pivot + 1]),
+            st.integers(min_value=0, max_value=2**64),
+        ))
+        expected = bytes(x < threshold for x in stream)
+        assert bytes(_draws_below(seed, count, threshold)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=64), p=probabilities, seed=seeds)
+    @example(n=47, p=Fraction(1), seed=-1)
+    @example(n=64, p=Fraction(6, 29), seed=2**64)
+    def test_sample_matches_reference(self, n, p, seed):
+        # Above n = 46 one graph spans more than one chunk of lanes.
+        assert _sample_edge_masks(n, p, seed) == reference_sample_edge_masks(n, p, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=seeds,
+        n=st.integers(min_value=2, max_value=12),
+        den=st.integers(min_value=1, max_value=10**6),
+        data=st.data(),
+    )
+    def test_threshold_rounds_up(self, seed, n, den, data):
+        # p * 2**64 lands within 1 of one of the pair draws, so x < p * 2**64
+        # and x < threshold disagree there if the threshold is rounded down.
+        rng = ReferenceSplitMix64(seed)
+        draws = [rng.next_u64() for _ in range(n * (n - 1) // 2)]
+        x = data.draw(st.sampled_from(draws))
+        offset = data.draw(st.integers(min_value=-den, max_value=den))
+        p = Fraction(min(max(x * den + offset, 0), den << 64), den << 64)
+        assert _sample_edge_masks(n, p, seed) == reference_sample_edge_masks(n, p, seed)
+
+    def test_non_dyadic_threshold_is_the_ceiling(self):
+        x = SplitMix64(5).next_u64()
+        assert _sample_edge_masks(2, Fraction(3 * x + 1, 3 << 64), 5) == [2, 1]
+        assert _sample_edge_masks(2, Fraction(3 * x - 1, 3 << 64), 5) == [0, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=64), seed=seeds, data=st.data())
+    def test_co_bipartite_sample_matches_reference(self, n, seed, data):
+        # Bits of the side mask at or above n are ignored.
+        side_mask = data.draw(st.one_of(
+            st.sampled_from([0, (1 << n) - 1]),
+            st.integers(min_value=0, max_value=2**70),
+        ))
+        _, sampled, _ = _recorded(lambda: _co_bipartite_c4free(n, side_mask, seed))
+        assert sampled == reference_co_bipartite_sample(n, side_mask, seed)
