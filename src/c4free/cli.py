@@ -39,6 +39,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Reports print --epsilon and numbers derived from it, and Python refuses to
+# print an int of more than 4300 digits; the derived ones stay within a few
+# digits of epsilon's.
+EPSILON_DIGITS = 1000
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -256,6 +261,8 @@ def _cmd_structure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n > CLI_VERTEX_LIMIT:
+        raise GraphInputError(f"--max-n must be at most {CLI_VERTEX_LIMIT}, got {args.max_n}")
     config = SuiteConfig(
         suite=args.suite,
         seed=args.seed,
@@ -289,6 +296,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Seeds are taken mod 2**64 below, so two spellings of one stream are refused.
         if not 0 <= getattr(args, "seed", 0) < 1 << 64:
             raise GraphInputError(f"--seed must be in [0, 2**64), got {args.seed}")
+        eps = getattr(args, "epsilon", 0)
+        if max(abs(eps.numerator), eps.denominator) >= 10**EPSILON_DIGITS:
+            raise GraphInputError(
+                f"--epsilon needs a numerator and denominator of at most {EPSILON_DIGITS} digits"
+            )
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "check":

@@ -18,6 +18,7 @@ from .graph import (
     InvariantViolation,
     _above,
     _bit_indices,
+    _graph_of,
     _scan_induced_c4,
     build_graph,
     find_induced_c4,
@@ -241,17 +242,14 @@ def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
 
 def _repair(adj: list[int], n: int, fix: Callable[[list[int], FoundC4], int]) -> Graph:
     # fix returns the first row its repair can have made bad. The loop ends
-    # only on a clean scan from row 0, so no output rests on that bound alone.
+    # only on a clean scan from row 0, so no output rests on that bound alone,
+    # and the graph carries that scan's verdict.
     start = 0
     while (witness := _scan_induced_c4(adj, n, start)) is not None:
         start = fix(adj, witness)
     if start and (witness := _scan_induced_c4(adj, n)) is not None:
         raise InvariantViolation(f"repair resumed past the induced 4-cycle {witness.vertices}")
-    return _graph_of(adj)
-
-
-def _graph_of(adj: list[int]) -> Graph:
-    return Graph(n=len(adj), adj=tuple(adj), edge_count=sum(row.bit_count() for row in adj) // 2)
+    return _graph_of(adj, c4free=True)
 
 
 def _delete_edge(adj: list[int], witness: FoundC4) -> int:

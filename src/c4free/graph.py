@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 VertexSet = tuple[int, ...]
@@ -82,16 +83,40 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees()) if self.n else 0
 
-    def neighbors(self, v: int) -> VertexSet:
-        return _to_vertexset(self.adj[v])
+    # The two cached values below live in the instance __dict__, outside the
+    # dataclass fields, so equality, hashing and repr ignore them; adj is an
+    # immutable tuple, so they never go stale.
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges (u, v) with u < v in ascending lexicographic order."""
-        out = []
-        for u in range(self.n):
-            for v in _bit_indices(self.adj[u] & _above(u)):
-                out.append((u, v))
-        return out
+    @cached_property
+    def _twins(self) -> Optional[tuple[int, tuple[int, ...]]]:
+        # True-twin classes, the vertices with one closed neighbourhood: the
+        # mask of class minima and each vertex's class mask, or None when
+        # every class is a single vertex.
+        closed = [row | 1 << v for v, row in enumerate(self.adj)]
+        if len(set(closed)) == self.n:
+            return None
+        classes: dict[int, int] = {}
+        for v, key in enumerate(closed):
+            classes[key] = classes.get(key, 0) | 1 << v
+        reps = 0
+        for members in classes.values():
+            reps |= members & -members
+        return reps, tuple(classes[key] for key in closed)
+
+    @cached_property
+    def _witness(self) -> Optional[FoundC4]:
+        # The first witness of the pair scan lies on class minima: a
+        # smaller twin of any of its four vertices gives a witness the scan
+        # meets earlier. So the scan of the minima alone finds it.
+        return _scan_induced_c4(self.adj, self.n, 0, _quotient(self)[0])
+
+
+def _graph_of(adj: Sequence[int], c4free: bool = False) -> Graph:
+    """Graph from adjacency rows; c4free records a clean scan already made."""
+    g = Graph(n=len(adj), adj=tuple(adj), edge_count=sum(row.bit_count() for row in adj) // 2)
+    if c4free:
+        g.__dict__["_witness"] = None
+    return g
 
 
 class FoundC4(NamedTuple):
@@ -164,16 +189,19 @@ def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
     return not any(g.adj[v] & mask for v in _bit_indices(mask))
 
 
-def _scan_induced_c4(adj: Sequence[int], n: int, start: int = 0) -> Optional[FoundC4]:
-    # For each non-adjacent pair (u, v), u >= start, in lexicographic order,
-    # look for a non-adjacent pair (p, q) inside N(u) ∩ N(v); first hit wins.
+def _scan_induced_c4(
+    adj: Sequence[int], n: int, start: int = 0, verts: int = -1
+) -> Optional[FoundC4]:
+    # For each non-adjacent pair (u, v) of verts, u >= start, in
+    # lexicographic order, look for a non-adjacent pair (p, q) of verts
+    # inside N(u) ∩ N(v); first hit wins.
     # Each common neighbourhood found to be a clique is grown greedily, in
     # ascending order, to a maximal clique inside N(u) and kept for the row.
     # A later common neighbourhood inside a kept clique holds no non-adjacent
     # pair, so skipping it leaves the first witness unchanged.
-    full = (1 << n) - 1
-    for u in range(start, n):
-        row = adj[u]
+    full = verts & (1 << n) - 1
+    for u in _bit_indices(full & -1 << start):
+        row = adj[u] & full
         nonadj = full & ~row & (-1 << (u + 1))
         cliques: list[int] = []
         while nonadj:
@@ -212,8 +240,11 @@ def _scan_induced_c4(adj: Sequence[int], n: int, start: int = 0) -> Optional[Fou
 
 
 def find_induced_c4(g: Graph) -> Optional[FoundC4]:
-    """First induced 4-cycle in deterministic pair-scan order, or None."""
-    return _scan_induced_c4(g.adj, g.n)
+    """First induced 4-cycle in deterministic pair-scan order, or None.
+
+    Computed once per graph; graphs from the repair loop come with it.
+    """
+    return g._witness
 
 
 def has_induced_c4_naive(g: Graph) -> bool:
@@ -273,23 +304,28 @@ def greedy_maximal_independent_set(g: Graph) -> VertexSet:
     return _to_vertexset(_maximal_extend(g, 0))
 
 
-def _suffix_bounds(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
+def _suffix_bounds(adj: Sequence[int], mask: int, weight: Sequence[int]) -> list[tuple[int, int]]:
     # Greedy colouring of mask in descending vertex order, each class peeled
-    # as a bitset. A class opens at its highest vertex, so the classes opened
-    # at or above v bound any clique in mask whose least vertex is v. Returns
-    # (v, bound) in descending v, so list.pop() yields ascending v.
+    # as a bitset. A class opens at its highest vertex, and a clique takes at
+    # most one vertex per class, so the heaviest members of the classes
+    # opened at or above v bound the weight of any clique in mask whose least
+    # vertex is v. Returns (v, bound) in descending v, so list.pop() yields
+    # ascending v.
     order = []
     rest = mask
     hi = mask.bit_length()
     bound = 0
     while rest:
-        bound += 1
         cand = rest
+        top = 0
         while cand:
             v = cand.bit_length() - 1
             bit = 1 << v
             rest ^= bit
             cand &= ~adj[v] ^ bit
+            if weight[v] > top:
+                top = weight[v]
+        bound += top
         lo = rest.bit_length()
         seg = mask & ((1 << hi) - (1 << lo))
         while seg:
@@ -300,56 +336,100 @@ def _suffix_bounds(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
     return order
 
 
-def _lex_clique(adj: tuple[int, ...], cand: int, stop: int) -> int:
-    # Lexicographically least clique of size min(omega(cand), stop), as a mask.
-    # Depth first in ascending vertex order with an explicit stack, so the
-    # depth is not bounded by Python's recursion limit. Cliques are reached in
-    # lexicographic preorder and one is kept only when it beats the best size
-    # so far, so the first clique of each size reached is the least of that
-    # size. A node stops branching once size + bound <= best; bounds never
+def _lex_clique(
+    adj: Sequence[int], cand: int, stop: int, weight: Sequence[int], best: int = 0
+) -> int:
+    # The first clique in cand, in lexicographic preorder, of the largest
+    # weight above best, as a mask; the search ends early at a weight of
+    # stop or more, and gives 0 when no clique is heavier than best. With
+    # unit weights and best 0 that is the lexicographically least clique of
+    # size min(omega(cand), stop). Depth first in ascending vertex order with
+    # an explicit stack, so the depth is not bounded by Python's recursion
+    # limit. A clique is kept only when it beats the best weight so far, so
+    # of the cliques of the largest weight the first one reached is kept. A
+    # node stops branching once weight + bound <= best; bounds never
     # increase along ascending v, so every later vertex is cut as well.
     if stop <= 0:
         return 0
-    best, best_mask = 0, 0
+    best_mask = 0
     stack: list[tuple[int, int, int, list[tuple[int, int]]]] = []
-    size, chosen, mask, order = 0, 0, cand, _suffix_bounds(adj, cand)
+    size, chosen, mask, order = 0, 0, cand, _suffix_bounds(adj, cand, weight)
     while True:
         if order and size + order[-1][1] > best:
             v = order.pop()[0]
             bit = 1 << v
             mask ^= bit
             clique = chosen | bit
-            if size + 1 > best:
-                best, best_mask = size + 1, clique
+            grown = size + weight[v]
+            if grown > best:
+                best, best_mask = grown, clique
                 if best >= stop:
                     return best_mask
             sub = mask & adj[v]
             if sub:
                 stack.append((size, chosen, mask, order))
-                size, chosen, mask, order = size + 1, clique, sub, _suffix_bounds(adj, sub)
+                size, chosen, mask, order = grown, clique, sub, _suffix_bounds(adj, sub, weight)
         elif stack:
             size, chosen, mask, order = stack.pop()
         else:
             return best_mask
 
 
-def max_clique_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
-    """Maximum clique by branch and bound; lexicographically least on ties."""
+def _quotient(g: Graph) -> tuple[int, Sequence[int]]:
+    # Class minima and class masks; a twin-free graph is its own quotient.
+    twins = g._twins
+    return twins if twins is not None else (g.full_mask, [1 << v for v in range(g.n)])
+
+
+def _check_limit(g: Graph, limit: int) -> None:
     if g.n > limit:
         raise OracleLimitError(f"oracle limit: n={g.n} exceeds limit {limit}")
-    return _to_vertexset(_lex_clique(g.adj, g.full_mask, g.n))
+
+
+def _reversed(mask: int, n: int) -> int:
+    # Bit v moved to bit n - 1 - v.
+    return int(format(mask, "b").zfill(n)[::-1], 2)
+
+
+def max_clique_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
+    """Maximum clique by branch and bound; lexicographically least on ties.
+
+    A maximum clique holds whole true-twin classes, and two such cliques
+    compare as their sets of class minima do, so the search runs on the
+    minima weighted by class size and expands the result to whole classes.
+    """
+    _check_limit(g, limit)
+    reps, classes = _quotient(g)
+    mask = _lex_clique(g.adj, reps, g.n, [members.bit_count() for members in classes])
+    return _to_vertexset(sum(classes[v] for v in _bit_indices(mask)))
 
 
 def max_independent_set_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
-    """Maximum independent set: the clique oracle on the complement."""
-    return max_clique_exact(complement(g), limit=limit)
+    """Maximum independent set; lexicographically least on ties.
+
+    The clique search of find_independent_set_of_size, in two runs. The
+    size comes first, from a run on the reversed labelling, which meets a
+    large set early on sparse graphs. The second run keeps only sets of that
+    size, so it cuts every branch unable to reach it and ends at the first
+    one, the least.
+    """
+    _check_limit(g, limit)
+    reps, co, ones = _quotient(g)[0], complement(g).adj, [1] * g.n
+    flipped = [_reversed(row, g.n) for row in reversed(co)]
+    alpha = _lex_clique(flipped, _reversed(reps, g.n), g.n, ones).bit_count()
+    return _to_vertexset(_lex_clique(co, reps, alpha, ones, alpha - 1))
 
 
 def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
-    """Lexicographically least independent set of size exactly t, or None."""
+    """Lexicographically least independent set of size exactly t, or None.
+
+    A clique search in the complement on the true-twin class minima: an
+    independent set meets a class at most once, and trading its member for
+    the class minimum keeps it independent and makes it smaller.
+    """
     if t < 1:
         raise GraphInputError(f"size must be at least 1, got {t}")
-    mask = _lex_clique(complement(g).adj, g.full_mask, t)
+    mask = _lex_clique(complement(g).adj, _quotient(g)[0], t, [1] * g.n)
     return _to_vertexset(mask) if mask.bit_count() == t else None
 
 

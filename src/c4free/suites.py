@@ -29,7 +29,6 @@ from .generators import (
     RNG_NAME,
     SplitMix64,
     _co_bipartite_c4free,
-    _graph_of,
     _sample_edge_masks,
     cycle_power,
     random_c4free,
@@ -39,6 +38,7 @@ from .graph import (
     ORACLE_LIMIT_DEFAULT,
     Graph,
     GraphInputError,
+    _graph_of,
     build_graph,
     common_neighbors,
     find_induced_c4,

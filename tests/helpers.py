@@ -42,6 +42,15 @@ from c4free.graph import (
 from c4free.suites import SuiteConfig
 
 
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    return _to_vertexset(g.adj[v])
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """All edges (u, v) with u < v in ascending lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in _bit_indices(g.adj[u] & _above(u))]
+
+
 def cycle(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -444,7 +453,7 @@ def relabelled(g: Graph, seed: int) -> Graph:
     """g with vertex labels shuffled by ``random.Random(seed)``."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
 
 
 def relabelled_w5_blowup(sizes: Sequence[int], seed: int) -> Graph:
@@ -488,3 +497,32 @@ def c4free_graphs(draw, max_n: int = 20):
     num = draw(st.integers(min_value=0, max_value=10))
     seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
     return random_c4free(n, Fraction(num, 10), seed)
+
+
+def substituted(base: Graph, sizes: Sequence[int]) -> Graph:
+    """Clique substitution with no check on the base: its induced 4-cycles stay."""
+    groups = []
+    total = 0
+    for s in sizes:
+        groups.append(range(total, total + s))
+        total += s
+    pairs = [(u, u) for u in range(base.n)] + edges(base)
+    return build_graph(total, [
+        (i, j) for u, v in pairs for i in groups[u] for j in groups[v] if i < j
+    ])
+
+
+@st.composite
+def twin_rich_graphs(draw, max_base: int = 7, max_size: int = 4):
+    """Clique substitutions into small bases, relabelled at random.
+
+    Raw bases may hold induced 4-cycles, repaired ones do not; a size of 0
+    deletes the base vertex.
+    """
+    base = draw(st.one_of(raw_graphs(max_n=max_base), c4free_graphs(max_n=max_base)))
+    sizes = draw(st.lists(
+        st.integers(min_value=0, max_value=max_size), min_size=base.n, max_size=base.n
+    ))
+    g = substituted(base, sizes)
+    perm = draw(st.permutations(range(g.n)))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in edges(g)])

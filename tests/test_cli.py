@@ -9,7 +9,7 @@ import pytest
 
 from c4free import build_graph, cycle_power, parse_graph, serialize_graph
 from c4free.cli import main
-from helpers import complete, cycle, relabelled_w5_blowup
+from helpers import complete, cycle, edges, relabelled_w5_blowup
 
 
 def run_cli(capsys, *argv):
@@ -112,9 +112,9 @@ class TestCheck:
         g = cycle_power(10)
         perm = list(range(g.n))
         random.Random(1).shuffle(perm)
-        edges = [(perm[u], perm[v]) for u, v in g.edges()]
+        moved = [(perm[u], perm[v]) for u, v in edges(g)]
         f = tmp_path / "g.txt"
-        f.write_text(serialize_graph(build_graph(g.n, edges[1:])))
+        f.write_text(serialize_graph(build_graph(g.n, moved[1:])))
         code, out, err = run_cli(capsys, "check", "c4free", str(f))
         assert (code, out, err) == (1, "induced-c4: 1 2 24 32\n", "")
 
@@ -222,6 +222,28 @@ class TestClique:
         payload = json.loads(out)
         assert payload["method"] == "large-alpha"
         assert payload["witness"]["epsilon"] == "1/4"
+
+    @pytest.mark.parametrize("eps", ["1e-9999", "9e9999", "-1e-1001", "1/" + "7" * 1001])
+    @pytest.mark.parametrize("method", [("--method", "large-alpha"), ("--dirac",)])
+    def test_epsilon_too_long_to_print_is_usage_error(self, capsys, tmp_path, eps, method):
+        # The certificate prints epsilon, past Python's 4300-digit str() limit.
+        f = tmp_path / "g.txt"
+        f.write_text("5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+        code, out, err = run_cli(capsys, "clique", "extract", str(f), *method, "--epsilon=" + eps)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "--epsilon" in err
+
+    def test_epsilon_of_1000_digits_runs(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+        code, out, _ = run_cli(
+            capsys, "clique", "extract", str(f), "--dirac", "--epsilon", "1e-999"
+        )
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        assert witness["epsilon"] == "1/1" + "0" * 999
+        assert witness["dirac_threshold"] == "3" + "0" * 998 + "1"
 
     def test_extract_not_c4free_is_input_error(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
@@ -401,6 +423,22 @@ class TestVerify:
             "--seed", str(2**64 - 1),
         )
         assert code == 0 and out.startswith("checker-equiv: ")
+
+    def test_epsilon_too_long_to_print_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "bounds-general", "--samples", "1", "--epsilon", "1e-9999"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "--epsilon" in err
+
+    def test_max_n_above_the_vertex_limit_is_usage_error(self, capsys):
+        # Refused before the suite runs; --max-n 4096 is not run, as it is slow.
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "bounds-general", "--samples", "1", "--max-n", "4097"
+        )
+        assert code == 2
+        assert out == "" and err == "error: --max-n must be at most 4096, got 4097\n"
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")

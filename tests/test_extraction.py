@@ -33,6 +33,8 @@ from helpers import (
     cycle,
     disjoint_cliques,
     edgeless,
+    edges,
+    neighbors,
     path,
     star,
 )
@@ -54,7 +56,7 @@ class TestDominatingPair:
         g = cycle_power(3)
         pair = find_dominating_nonadjacent_pair(g)
         assert pair is not None
-        covered = set(g.neighbors(pair.u)) | set(g.neighbors(pair.w)) | {pair.u, pair.w}
+        covered = set(neighbors(g, pair.u)) | set(neighbors(g, pair.w)) | {pair.u, pair.w}
         assert covered == set(range(g.n))
         assert not g.has_edge(pair.u, pair.w)
 
@@ -91,8 +93,8 @@ class TestExtractRegular:
         assert x_set == (x,)
         assert g.degree(u) + g.degree(wv) - len(x_set) == g.n - 2 == 4 * k - 1
         u1, w1 = set(w["U1"]), set(w["W1"])
-        assert u1 == set(g.neighbors(x)) & (set(g.neighbors(u)) - {x})
-        assert w1 == set(g.neighbors(x)) & (set(g.neighbors(wv)) - {x})
+        assert u1 == set(neighbors(g, x)) & (set(neighbors(g, u)) - {x})
+        assert w1 == set(neighbors(g, x)) & (set(neighbors(g, wv)) - {x})
         assert is_clique(g, u1)
         assert is_clique(g, w1)
         cover_u = u1 | {u, x}
@@ -135,7 +137,7 @@ class TestExtractRegular:
         for i in range(g.n - 1, 0, -1):
             j = rng.next_below(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
         cert = extract_regular(relabeled)
         assert cert.size == k + 1
         assert check_certificate(relabeled, cert)
@@ -268,7 +270,7 @@ class TestExtractGeneral:
         if g.n == 0:
             return
         bigger = build_graph(
-            g.n + 1, list(g.edges()) + [(v, g.n) for v in range(g.n)]
+            g.n + 1, list(edges(g)) + [(v, g.n) for v in range(g.n)]
         )
         assert extract_general(bigger).size >= extract_general(g).size
 

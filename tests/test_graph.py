@@ -36,9 +36,11 @@ from c4free.graph import (
 from helpers import (
     brute_alpha,
     brute_omega,
+    c4free_graphs,
     complete,
     cycle,
     edgeless,
+    edges,
     house,
     path,
     raw_graphs,
@@ -61,11 +63,11 @@ def petersen():
 
 
 def disjoint_union(*parts):
-    edges, base = [], 0
+    pairs, base = [], 0
     for part in parts:
-        edges.extend((base + u, base + v) for u, v in part.edges())
+        pairs.extend((base + u, base + v) for u, v in edges(part))
         base += part.n
-    return build_graph(base, edges)
+    return build_graph(base, pairs)
 
 
 class TestBuildGraph:
@@ -237,7 +239,7 @@ class TestFindInducedC4:
             )
         )
         adj = [0] * n
-        for u, v in base.edges():
+        for u, v in edges(base):
             adj[perm[u]] |= 1 << perm[v]
             adj[perm[v]] |= 1 << perm[u]
         for u, v in flips:
@@ -261,8 +263,9 @@ class TestExactOracles:
         assert max_clique_exact(w5_base()) == (0, 1, 2)
 
     def test_limit_refused(self):
-        with pytest.raises(OracleLimitError):
-            max_clique_exact(edgeless(49))
+        for oracle in (max_clique_exact, max_independent_set_exact):
+            with pytest.raises(OracleLimitError, match=r"^oracle limit: n=49 exceeds limit 48$"):
+                oracle(edgeless(49))
 
     def test_independent_c5(self):
         assert max_independent_set_exact(cycle(5)) == (0, 2)
@@ -426,7 +429,36 @@ class TestAgainstReferences:
         omega = reference_clique_search(g.adj, mask, 0, g.n)
         for stop in range(g.n + 2):
             expected = reference_lex_first_clique(g.adj, mask, min(stop, omega))
-            assert _lex_clique(g.adj, mask, stop) == expected
+            assert _lex_clique(g.adj, mask, stop, [1] * g.n) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_graphs(max_n=10), st.booleans(), st.data())
+    def test_weighted_lex_clique_matches_enumeration(self, g, flip, data):
+        # Sorted tuples compare as the search meets cliques: a prefix first.
+        g = complement(g) if flip else g
+        mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        weight = data.draw(st.lists(
+            st.integers(min_value=1, max_value=4), min_size=g.n, max_size=g.n
+        ))
+        members = [v for v in range(g.n) if mask >> v & 1]
+        cliques = [
+            subset
+            for size in range(len(members) + 1)
+            for subset in itertools.combinations(members, size)
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(subset, 2))
+        ]
+        top = max(sum(weight[v] for v in c) for c in cliques)
+        expected = min(c for c in cliques if sum(weight[v] for v in c) == top)
+        expected_mask = sum(1 << v for v in expected)
+        for best in range(top + 1):
+            got = _lex_clique(g.adj, mask, sum(weight) + 1, weight, best)
+            assert got == (expected_mask if best < top else 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(raw_graphs(max_n=14), c4free_graphs(max_n=26)))
+    def test_max_independent_set_matches_reference(self, g):
+        # Two runs: the size on the reversed labelling, then the least set.
+        assert max_independent_set_exact(g) == reference_max_clique(complement(g))
 
     @settings(max_examples=200, deadline=None)
     @given(raw_graphs(max_n=14), st.booleans())
@@ -517,7 +549,7 @@ class TestComplement:
 
     def test_p4_relabels_to_a_path(self):
         comp = complement(path(4))
-        assert sorted(comp.edges()) == [(0, 2), (0, 3), (1, 3)]
+        assert sorted(edges(comp)) == [(0, 2), (0, 3), (1, 3)]
 
     @settings(max_examples=100, deadline=None)
     @given(raw_graphs(max_n=12))
