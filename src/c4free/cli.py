@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,15 +42,33 @@ EXIT_USAGE = 2
 
 # Reports print --epsilon and numbers derived from it, and Python refuses to
 # print an int of more than 4300 digits; the derived ones stay within a few
-# digits of epsilon's.
+# digits of epsilon's. --p goes through the same check.
 EPSILON_DIGITS = 1000
 
+# The decimal exponent of a rational option, in the syntax Fraction reads.
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
-def _fraction(text: str) -> Fraction:
+
+def _rational(option: str, text: str) -> Fraction:
+    # Fraction builds the power of ten of a decimal exponent before anything
+    # can bound it, which takes seconds from a million digits up, so a long
+    # exponent is refused first.
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(EPSILON_DIGITS)) or int(digits or 0) > EPSILON_DIGITS:
+            raise GraphInputError(
+                f"{option} needs a decimal exponent of at most {EPSILON_DIGITS} in magnitude"
+            )
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        raise GraphInputError(f"{option} is not a rational number: {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**EPSILON_DIGITS:
+        raise GraphInputError(
+            f"{option} needs a numerator and denominator of at most {EPSILON_DIGITS} digits"
+        )
+    return value
 
 
 def _sizes_list(text: str) -> list[int]:
@@ -116,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = gen_sub.add_parser("random", help="seeded random graph repaired to be C4-free")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=_fraction, required=True)
+    p.add_argument("--p", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", metavar="FILE", default=None)
 
@@ -139,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "regular", "general", "triple", "large-alpha"],
         default="auto",
     )
-    p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 2))
+    p.add_argument("--epsilon", default="1/2")
     p.add_argument("--independent-set", type=_sizes_list, default=None)
     p.add_argument(
         "--dirac",
@@ -164,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-n", type=int, default=40)
     p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT)
-    p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 2))
+    p.add_argument("--epsilon", default="1/2")
     p.add_argument("--json", metavar="FILE", default=None)
 
     return parser
@@ -296,11 +315,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Seeds are taken mod 2**64 below, so two spellings of one stream are refused.
         if not 0 <= getattr(args, "seed", 0) < 1 << 64:
             raise GraphInputError(f"--seed must be in [0, 2**64), got {args.seed}")
-        eps = getattr(args, "epsilon", 0)
-        if max(abs(eps.numerator), eps.denominator) >= 10**EPSILON_DIGITS:
-            raise GraphInputError(
-                f"--epsilon needs a numerator and denominator of at most {EPSILON_DIGITS} digits"
-            )
+        for name in ("p", "epsilon"):
+            if hasattr(args, name):
+                setattr(args, name, _rational(f"--{name}", getattr(args, name)))
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "check":

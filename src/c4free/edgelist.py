@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graph import Graph, GraphInputError, _above, _bit_indices, build_graph
+from .graph import Graph, GraphInputError, _above, _bit_indices, _graph_of
 
 # At the cap, `check c4free` on a relabelled cycle_power(1023) (n = 4093,
 # 4 187 139 edges, 39.6 MB; Python 3.11.7, 2 shared vCPUs) parses in 2.2 s
@@ -86,14 +86,17 @@ def _parse_bulk(text: str, max_n: Optional[int]) -> Optional[Graph]:
             start = stop
     except KeyError:
         return None
-    if sum(row.bit_count() for row in adj) != 2 * m:
-        return None
-    return Graph(n=n, adj=tuple(adj), edge_count=m)
+    g = _graph_of(adj)
+    return g if g.edge_count == m else None
 
 
 def _parse_lines(text: str, max_n: Optional[int]) -> Graph:
     header: Optional[tuple[int, int]] = None
-    edges: list[tuple[int, int]] = []
+    # Rows by vertex, so a huge n with max_n=None costs nothing until the
+    # whole text has passed every check.
+    rows: dict[int, int] = {}
+    count = 0
+    duplicate: Optional[ParseError] = None
     last_line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         last_line_no = line_no
@@ -107,7 +110,7 @@ def _parse_lines(text: str, max_n: Optional[int]) -> Graph:
                 raise ParseError(f"n={n} exceeds the vertex limit {max_n}", line_no)
             header = (n, m)
             continue
-        if len(edges) >= header[1]:
+        if count >= header[1]:
             raise ParseError(f"trailing garbage after {header[1]} edges: {raw!r}", line_no)
         u, v = _parse_ints(raw, 2, line_no)
         n = header[0]
@@ -115,25 +118,23 @@ def _parse_lines(text: str, max_n: Optional[int]) -> Graph:
             raise ParseError(f"vertex out of range 0..{n - 1} in edge {u} {v}", line_no)
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", line_no)
-        edges.append((u, v))
+        row = rows.get(u, 0)
+        if row >> v & 1 and duplicate is None:
+            # Reported only when the text has no other fault.
+            duplicate = ParseError(f"duplicate edge {u} {v}", line_no)
+        rows[u] = row | 1 << v
+        rows[v] = rows.get(v, 0) | 1 << u
+        count += 1
     if header is None:
         raise ParseError("missing header line 'n m'", last_line_no + 1)
-    if len(edges) != header[1]:
+    if count != header[1]:
         raise ParseError(
-            f"header declared {header[1]} edges, found {len(edges)}",
+            f"header declared {header[1]} edges, found {count}",
             last_line_no + 1,
         )
-    g = build_graph(header[0], edges)
-    if g.edge_count != header[1]:
-        # Error path only: the data lines after the header are the edges.
-        lines = [no for no, raw in enumerate(text.splitlines(), start=1)
-                 if not raw.lstrip().startswith("#")]
-        seen: set[frozenset[int]] = set()
-        for line_no, (u, v) in zip(lines[1:], edges):
-            if frozenset((u, v)) in seen:
-                raise ParseError(f"duplicate edge {u} {v}", line_no)
-            seen.add(frozenset((u, v)))
-    return g
+    if duplicate is not None:
+        raise duplicate
+    return _graph_of([rows.get(v, 0) for v in range(header[0])])
 
 
 def serialize_graph(g: Graph) -> str:

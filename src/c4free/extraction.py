@@ -103,6 +103,51 @@ def check_certificate(g: Graph, cert: CliqueCertificate) -> bool:
     return True
 
 
+def _certified(
+    g: Graph,
+    clique: VertexSet,
+    method: str,
+    bound: Fraction,
+    precondition_met: bool,
+    witness: dict,
+) -> CliqueCertificate:
+    # The one exit of every extractor: a certificate that fails its own
+    # re-check is never handed out.
+    cert = CliqueCertificate(clique, method, bound, precondition_met, witness)
+    if not check_certificate(g, cert):
+        raise InvariantViolation(
+            f"guarantee violated: {method} set {clique} fails its certificate "
+            f"(bound {bound}, precondition met: {precondition_met})"
+        )
+    return cert
+
+
+def _min_degree(g: Graph) -> int:
+    require_c4free(g)
+    if g.n == 0:
+        raise GraphInputError("cannot extract a clique from the empty graph")
+    return g.min_degree()
+
+
+def _structure_route(
+    g: Graph, bound: Fraction, precondition_met: bool, witness: dict, reason: str
+) -> CliqueCertificate:
+    # The alpha <= 2 fallback: the decomposition's clique has at least
+    # ceil(2n/5) vertices.
+    try:
+        struct_cert = alpha2_decompose(g)
+    except HypothesisViolation as exc:
+        raise InvariantViolation(f"guarantee violated: {reason} ({exc})") from exc
+    clique = clique_from_certificate(g, struct_cert)
+    two_fifths = -((-2 * g.n) // 5)
+    if len(clique) < two_fifths:
+        raise InvariantViolation(
+            f"structure route clique of size {len(clique)} misses ceil(2n/5) = {two_fifths}"
+        )
+    witness = {"route": "structure", "structure_kind": struct_cert.kind, **witness}
+    return _certified(g, clique, METHOD_STRUCTURE, bound, precondition_met, witness)
+
+
 def find_dominating_nonadjacent_pair(g: Graph) -> Optional[DominatingPair]:
     """First non-adjacent pair (lexicographic) whose closed neighborhoods cover V."""
     full = g.full_mask
@@ -177,29 +222,9 @@ def extract_regular(g: Graph) -> CliqueCertificate:
 
     pair = find_dominating_nonadjacent_pair(g)
     if pair is None:
-        try:
-            struct_cert = alpha2_decompose(g)
-        except HypothesisViolation as exc:
-            raise InvariantViolation(
-                "guarantee violated: no dominating non-adjacent pair although "
-                f"the graph has an independent triple ({exc})"
-            ) from exc
-        clique = clique_from_certificate(g, struct_cert)
-        if len(clique) < k + 1:
-            raise InvariantViolation(
-                f"structure route produced {len(clique)} < k+1 = {k + 1}"
-            )
-        witness = {
-            "route": "structure",
-            "structure_kind": struct_cert.kind,
-            "k": k,
-        }
-        return CliqueCertificate(
-            clique=clique,
-            method=METHOD_STRUCTURE,
-            guaranteed_bound=bound,
-            precondition_met=True,
-            witness=witness,
+        return _structure_route(
+            g, bound, True, {"k": k},
+            "no dominating non-adjacent pair although the graph has an independent triple",
         )
 
     u, w = pair.u, pair.w
@@ -234,12 +259,6 @@ def extract_regular(g: Graph) -> CliqueCertificate:
             "guarantee violated: cover cliques do not partition around x"
         )
     best = clique_u if clique_u.bit_count() >= clique_w.bit_count() else clique_w
-    clique = _to_vertexset(best)
-    if not is_clique(g, clique) or len(clique) < k + 1:
-        raise InvariantViolation(
-            f"guarantee violated: extracted set of size {len(clique)} "
-            f"is not a clique of size >= {k + 1}"
-        )
     witness = {
         "route": "dominating-pair",
         "u": u,
@@ -252,13 +271,7 @@ def extract_regular(g: Graph) -> CliqueCertificate:
         "cover_size": covered.bit_count(),
         "k": k,
     }
-    return CliqueCertificate(
-        clique=clique,
-        method=METHOD_REGULAR,
-        guaranteed_bound=bound,
-        precondition_met=True,
-        witness=witness,
-    )
+    return _certified(g, _to_vertexset(best), METHOD_REGULAR, bound, True, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +317,11 @@ def extract_general(
     oracle_limit); a maximum set can never own a non-clique bucket, so
     the augmentation step becomes an invariant check.
     """
-    require_c4free(g)
+    delta = _min_degree(g)
     n = g.n
-    if n == 0:
-        raise GraphInputError("cannot extract a clique from the empty graph")
-    delta = g.min_degree()
     if delta == 0:
-        return CliqueCertificate(
-            clique=(0,),
-            method=METHOD_GENERAL,
-            guaranteed_bound=Fraction(0),
-            precondition_met=True,
-            witness={"route": "isolated-vertex", "min_degree": 0},
-        )
+        witness = {"route": "isolated-vertex", "min_degree": 0}
+        return _certified(g, (0,), METHOD_GENERAL, Fraction(0), True, witness)
 
     bound = Fraction(delta * delta, 2 * n + delta)
     t = -((-2 * n) // delta)  # ceil(2n/delta)
@@ -332,15 +337,7 @@ def extract_general(
         if len(s_list) >= t:
             head = s_list[:t]
             xi, xj, clique = best_pair_intersection(g, head)
-            witness = {
-                "route": "pair-scan",
-                "independent_set": head,
-                "pair": [xi, xj],
-                "t": t,
-                "min_degree": delta,
-                "augmentations": augmentations,
-                "alpha_mode": alpha_mode,
-            }
+            witness = {"route": "pair-scan", "independent_set": head, "pair": [xi, xj]}
             break
 
         buckets = _single_s_neighbor_sets(g, s_mask)
@@ -373,30 +370,11 @@ def extract_general(
         if union != g.full_mask:
             raise InvariantViolation("covering sets missed a vertex")
         clique = _to_vertexset(best_mask)
-        if not is_clique(g, clique):
-            raise InvariantViolation("covering route selected a non-clique")
-        witness = {
-            "route": "covering",
-            "independent_set": s_list,
-            "cover_sets": len(cover_sets),
-            "t": t,
-            "min_degree": delta,
-            "augmentations": augmentations,
-            "alpha_mode": alpha_mode,
-        }
+        witness = {"route": "covering", "independent_set": s_list, "cover_sets": len(cover_sets)}
         break
 
-    if Fraction(len(clique)) < bound:
-        raise InvariantViolation(
-            f"extracted clique of size {len(clique)} misses the bound {bound}"
-        )
-    return CliqueCertificate(
-        clique=clique,
-        method=METHOD_GENERAL,
-        guaranteed_bound=bound,
-        precondition_met=True,
-        witness=witness,
-    )
+    witness.update(t=t, min_degree=delta, augmentations=augmentations, alpha_mode=alpha_mode)
+    return _certified(g, clique, METHOD_GENERAL, bound, True, witness)
 
 
 def _first_nonadjacent_in_buckets(
@@ -426,62 +404,30 @@ def extract_triple(g: Graph) -> CliqueCertificate:
     yields a clique of size at least ceil(2n/5), which dominates
     d - n/3 whenever d <= 11n/15 (the precondition this method reports).
     """
-    require_c4free(g)
+    delta = _min_degree(g)
     n = g.n
-    if n == 0:
-        raise GraphInputError("cannot extract a clique from the empty graph")
-    delta = g.min_degree()
     bound = Fraction(delta) - Fraction(n, 3)
     precondition_met = Fraction(delta) <= Fraction(11 * n, 15)
 
     triple = find_independent_set_of_size(g, 3)
-    if triple is not None:
-        xi, xj, clique = best_pair_intersection(g, triple)
-        if not Fraction(len(clique)) > bound:
-            raise InvariantViolation(
-                f"triple route clique of size {len(clique)} is not above {bound}"
-            )
-        witness = {
-            "route": "triple",
-            "independent_set": list(triple),
-            "pair": [xi, xj],
-            "min_degree": delta,
-        }
-        return CliqueCertificate(
-            clique=clique,
-            method=METHOD_TRIPLE,
-            guaranteed_bound=bound,
-            precondition_met=precondition_met,
-            witness=witness,
+    if triple is None:
+        witness = {"two_fifths": -((-2 * n) // 5), "min_degree": delta}
+        return _structure_route(
+            g, bound, precondition_met, witness, "no independent triple yet no structure"
         )
-
-    try:
-        struct_cert = alpha2_decompose(g)
-    except HypothesisViolation as exc:  # pragma: no cover - triple search is exact
-        raise InvariantViolation(f"no independent triple yet no structure: {exc}")
-    clique = clique_from_certificate(g, struct_cert)
-    two_fifths = -((-2 * n) // 5)  # ceil(2n/5)
-    if len(clique) < two_fifths:
+    xi, xj, clique = best_pair_intersection(g, triple)
+    # Holds whether or not the precondition does, so it is checked here.
+    if not Fraction(len(clique)) > bound:
         raise InvariantViolation(
-            f"structure route clique of size {len(clique)} misses ceil(2n/5) = {two_fifths}"
-        )
-    if precondition_met and Fraction(len(clique)) < bound:
-        raise InvariantViolation(
-            f"structure route clique of size {len(clique)} misses the bound {bound}"
+            f"triple route clique of size {len(clique)} is not above {bound}"
         )
     witness = {
-        "route": "structure",
-        "structure_kind": struct_cert.kind,
-        "two_fifths": two_fifths,
+        "route": "triple",
+        "independent_set": list(triple),
+        "pair": [xi, xj],
         "min_degree": delta,
     }
-    return CliqueCertificate(
-        clique=clique,
-        method=METHOD_STRUCTURE,
-        guaranteed_bound=bound,
-        precondition_met=precondition_met,
-        witness=witness,
-    )
+    return _certified(g, clique, METHOD_TRIPLE, bound, precondition_met, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +450,12 @@ def extract_large_alpha(
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise GraphInputError(f"epsilon must be strictly between 0 and 1, got {eps}")
-    require_c4free(g)
+    delta = _min_degree(g)
     n = g.n
-    if n == 0:
-        raise GraphInputError("cannot extract a clique from the empty graph")
     s = sorted(set(members))
     if not is_independent_set(g, s):
         raise GraphInputError(f"set {tuple(s)} is not independent")
 
-    delta = g.min_degree()
     t = len(s)
     bound = (1 - eps) * Fraction(delta * delta, n)
     if delta > 0:
@@ -523,7 +466,17 @@ def extract_large_alpha(
         precondition_met = False
         threshold_str = "undefined (min degree 0)"
 
-    witness_common = {
+    clique: VertexSet = ()
+    pair = None
+    if t >= 2:
+        xi, xj, clique = best_pair_intersection(g, s)
+        pair = [xi, xj]
+    # Without the hypothesis an empty common neighbourhood falls back to one
+    # vertex; with it, an empty one fails the certificate.
+    route = "pair-scan"
+    if not (clique or precondition_met):
+        route, clique = "single-vertex", (0,)
+    witness = {
         "independent_set": list(s),
         "t": t,
         "epsilon": str(eps),
@@ -531,42 +484,11 @@ def extract_large_alpha(
         "d": delta,
         "d_interpretation": "d read as the minimum degree",
         "threshold": threshold_str,
+        "route": route,
+        "pair": pair,
+        "bound_satisfied": bool(Fraction(len(clique)) >= bound),
     }
-
-    if t < 2:
-        if precondition_met:  # pragma: no cover - impossible when delta < n
-            raise InvariantViolation("hypothesis met with fewer than 2 set members")
-        clique: VertexSet = (0,)
-        witness = {**witness_common, "route": "single-vertex", "pair": None}
-        pm = False
-    else:
-        xi, xj, clique = best_pair_intersection(g, s)
-        if len(clique) == 0:
-            if precondition_met:
-                raise InvariantViolation(
-                    "guarantee violated: hypothesis met but every pairwise "
-                    "common neighborhood is empty"
-                )
-            clique = (0,)
-            witness = {**witness_common, "route": "single-vertex", "pair": [xi, xj]}
-            pm = False
-        else:
-            witness = {**witness_common, "route": "pair-scan", "pair": [xi, xj]}
-            pm = precondition_met
-            if pm and Fraction(len(clique)) < bound:
-                raise InvariantViolation(
-                    f"guarantee violated: clique of size {len(clique)} "
-                    f"is below {bound}"
-                )
-
-    witness["bound_satisfied"] = bool(Fraction(len(clique)) >= bound)
-    return CliqueCertificate(
-        clique=clique,
-        method=METHOD_LARGE_ALPHA,
-        guaranteed_bound=bound,
-        precondition_met=pm,
-        witness=witness,
-    )
+    return _certified(g, clique, METHOD_LARGE_ALPHA, bound, precondition_met, witness)
 
 
 def extract_dirac(
@@ -590,10 +512,6 @@ def extract_dirac(
     t = inner.witness["t"]
     pm = degree_ok and Fraction(t) >= threshold
     bound = (1 - eps) * Fraction(n, 4)
-    if pm and Fraction(inner.size) < bound:  # pragma: no cover - implied
-        raise InvariantViolation(
-            f"guarantee violated: clique of size {inner.size} is below {bound}"
-        )
     witness = {
         **inner.witness,
         "preset": "dirac",
@@ -602,13 +520,7 @@ def extract_dirac(
         "general_bound": str(inner.guaranteed_bound),
         "general_precondition_met": inner.precondition_met,
     }
-    return CliqueCertificate(
-        clique=inner.clique,
-        method=METHOD_LARGE_ALPHA,
-        guaranteed_bound=bound,
-        precondition_met=pm,
-        witness=witness,
-    )
+    return _certified(g, inner.clique, METHOD_LARGE_ALPHA, bound, pm, witness)
 
 
 def degree_square_census(g: Graph, members: Iterable[int]) -> dict:

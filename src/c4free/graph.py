@@ -150,8 +150,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphInputError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    edge_count = sum(row.bit_count() for row in adj) // 2
-    return Graph(n=n, adj=tuple(adj), edge_count=edge_count)
+    return _graph_of(adj)
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -277,10 +276,7 @@ def require_c4free(g: Graph) -> None:
 
 
 def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    adj = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
-    edge_count = g.n * (g.n - 1) // 2 - g.edge_count
-    return Graph(n=g.n, adj=adj, edge_count=edge_count)
+    return _graph_of([g.full_mask & ~row & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
 # ---------------------------------------------------------------------------
@@ -530,32 +526,24 @@ def _canonical_cycle(cycle: list[int]) -> VertexSet:
 def bipartition(g: Graph) -> Union[tuple[VertexSet, VertexSet], OddCycle]:
     """2-color by BFS per component, or return a chordless odd cycle.
 
-    On success part one holds the lowest-indexed vertex of every
-    component; the witness on failure is the shortest odd cycle, which
-    is always induced.
+    Each component is layered by a bitset BFS from its lowest-indexed
+    vertex, which goes to part one with the other even layers. An edge
+    inside a layer closes an odd walk; the witness is then the shortest
+    odd cycle, which is always induced.
     """
-    color = [-1] * g.n
-    odd = False
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue) and not odd:
-            u = queue[head]
-            head += 1
-            for v in _bit_indices(g.adj[u]):
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    odd = True
-                    break
-        if odd:
-            break
-    if odd:
-        return OddCycle(_shortest_odd_cycle(g))
-    part0 = tuple(v for v in range(g.n) if color[v] == 0)
-    part1 = tuple(v for v in range(g.n) if color[v] == 1)
-    return (part0, part1)
+    sides = [0, 0]
+    rest = g.full_mask
+    while rest:
+        layer = rest & -rest
+        parity = 0
+        while layer:
+            rest ^= layer
+            reach = 0
+            for u in _bit_indices(layer):
+                if g.adj[u] & layer:
+                    return OddCycle(_shortest_odd_cycle(g))
+                reach |= g.adj[u]
+            sides[parity] |= layer
+            layer = reach & rest
+            parity ^= 1
+    return _to_vertexset(sides[0]), _to_vertexset(sides[1])

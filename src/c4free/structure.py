@@ -175,26 +175,16 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
     if cert.kind == KIND_COMPLEMENT_BIPARTITE:
         return None
 
-    for i in range(5):
-        bad = _first_pair(g, cert.hub, cert.cycle_groups[i], adjacent=False)
+    # (group, group, must be complete): hub to every cycle group, consecutive
+    # cycle groups, then cycle groups two apart, which must span no edge.
+    relations = [(0, i, True) for i in range(1, 6)]
+    relations += [(i, i % 5 + 1, True) for i in range(1, 6)]
+    relations += [(i, (i + 1) % 5 + 1, False) for i in range(1, 6)]
+    for a, b, complete in relations:
+        bad = _first_pair(g, named[a][1], named[b][1], adjacent=not complete)
         if bad:
-            return f"hub vertex {bad[0]} is non-adjacent to group {i + 1} vertex {bad[1]}"
-    for i in range(5):
-        j = (i + 1) % 5
-        bad = _first_pair(g, cert.cycle_groups[i], cert.cycle_groups[j], adjacent=False)
-        if bad:
-            return (
-                f"group {i + 1} vertex {bad[0]} is non-adjacent to "
-                f"group {j + 1} vertex {bad[1]}"
-            )
-    for i in range(5):
-        j = (i + 2) % 5
-        bad = _first_pair(g, cert.cycle_groups[i], cert.cycle_groups[j], adjacent=True)
-        if bad:
-            return (
-                f"group {i + 1} vertex {bad[0]} is adjacent to "
-                f"group {j + 1} vertex {bad[1]}"
-            )
+            state = "non-adjacent" if complete else "adjacent"
+            return f"{named[a][0]} vertex {bad[0]} is {state} to {named[b][0]} vertex {bad[1]}"
     return None
 
 

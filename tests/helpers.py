@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from hypothesis import strategies as st
 
@@ -31,11 +31,13 @@ from c4free.generators import SplitMix64
 from c4free.graph import (
     FoundC4,
     InvariantViolation,
+    OddCycle,
     _above,
     _bit_indices,
     _canonical_cycle,
     _check_vertex,
     _mask_of,
+    _shortest_odd_cycle,
     _to_vertexset,
     require_c4free,
 )
@@ -227,8 +229,8 @@ def reference_co_bipartite_sample(n: int, side_mask: int, seed: int) -> list[int
     return adj
 
 
-# Verbatim copies of the per-source BFS odd-cycle search, the sequential
-# greedy coloring and the recursive branch and bound, with its opening
+# Verbatim copies of the per-source BFS odd-cycle search, the queue BFS
+# 2-colouring, the sequential greedy coloring and the recursive branch and bound, with its opening
 # existence search, that the bit-parallel code in ``graph.py`` replaced.
 
 
@@ -284,6 +286,40 @@ def reference_shortest_odd_cycle(g: Graph) -> tuple[int, ...]:
     if len(set(cycle)) != len(cycle):  # pragma: no cover - minimality argument
         raise InvariantViolation("shortest odd closed walk was not simple")
     return _canonical_cycle(cycle)
+
+
+def reference_bipartition(g: Graph) -> Union[tuple[tuple[int, ...], tuple[int, ...]], OddCycle]:
+    """2-color by BFS per component, or return a chordless odd cycle.
+
+    On success part one holds the lowest-indexed vertex of every
+    component; the witness on failure is the shortest odd cycle, which
+    is always induced.
+    """
+    color = [-1] * g.n
+    odd = False
+    for s in range(g.n):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        queue = [s]
+        head = 0
+        while head < len(queue) and not odd:
+            u = queue[head]
+            head += 1
+            for v in _bit_indices(g.adj[u]):
+                if color[v] < 0:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    odd = True
+                    break
+        if odd:
+            break
+    if odd:
+        return OddCycle(_shortest_odd_cycle(g))
+    part0 = tuple(v for v in range(g.n) if color[v] == 0)
+    part1 = tuple(v for v in range(g.n) if color[v] == 1)
+    return (part0, part1)
 
 
 def reference_color_order(adj: tuple[int, ...], mask: int) -> list[tuple[int, int]]:

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4free import build_graph, cycle_power, parse_graph, serialize_graph
 from c4free.cli import main
+from c4free.suites import SUITE_NAMES
 from helpers import complete, cycle, edges, relabelled_w5_blowup
 
 
@@ -444,3 +448,83 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
         assert "unknown suite" in err
+
+
+# (valid values, boundary values) for the property test below. Every graph
+# stays at n <= 6 and every suite at two samples, so one run takes
+# milliseconds.
+RATIONALS = (["1/2", "1/3", "9/10", "0.25"],
+             ["0", "-1", "1", "1/0", "nan", "inf", "1e-9999", "1e-4000000", "9" * 5000,
+              "1/" + "7" * 1001, "1e-999", ""])
+SEEDS = (["0", "1", str(2**64 - 1)], ["-1", str(2**64), "9" * 5000, "x"])
+SIZE_LISTS = (["0,1,1,1,1,1", "2,1,1,1,1,1", "0,2", "1"],
+              ["", "0", "-1", "1,1", "-1,1,1,1,1,1", "1,2,3", "9" * 30 + ",1,1,1,1,1"])
+INPUTS = {
+    "empty": "", "n0": "0 0\n", "n1": "1 0\n", "c4": "4 4\n0 1\n1 2\n2 3\n0 3\n",
+    "c5": "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n", "k3": "3 3\n0 1\n0 2\n1 2\n",
+    "p3": "3 2\n0 1\n0 2\n", "duplicate": "3 2\n0 1\n1 0\n", "range": "3 1\n0 5\n",
+    "garbage": "2 1\n0 1\nx\n",
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
+    for name, text in INPUTS.items():
+        (folder / name).write_text(text)
+    return {name: str(folder / name) for name in INPUTS}
+
+
+@st.composite
+def _either(draw, values):
+    """A boundary value one time in four, else a valid one."""
+    good, bad = values
+    return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else good))
+
+
+@st.composite
+def cli_argvs(draw, files):
+    command = draw(st.sampled_from(["gen random", "gen w5", "clique extract", "verify"]))
+    argv = command.split()
+    if command == "gen random":
+        argv += ["--n", draw(_either((["0", "1", "3", "6"], ["-1"])))]
+        argv += ["--p", draw(_either(RATIONALS))]
+        argv += ["--seed", draw(_either(SEEDS))]
+    elif command == "gen w5":
+        argv += ["--sizes", draw(_either(SIZE_LISTS))]
+    elif command == "clique extract":
+        argv.append(files[draw(st.sampled_from(sorted(files)))])
+        method = ["auto", "regular", "general", "triple", "large-alpha"]
+        argv += ["--method", draw(st.sampled_from(method))]
+        argv += ["--epsilon", draw(_either(RATIONALS))]
+        if draw(st.booleans()):
+            argv += ["--independent-set", draw(_either(SIZE_LISTS))]
+        argv += sorted(draw(st.sets(st.sampled_from(["--dirac", "--exact-alpha"]))))
+        if draw(st.booleans()):
+            argv += ["--oracle-limit", draw(_either((["5", "48"], ["-1", "0"])))]
+    else:
+        argv += ["--suite", draw(_either((list(SUITE_NAMES), ["bogus"])))]
+        argv += ["--seed", draw(_either(SEEDS))]
+        argv += ["--samples", draw(_either((["0", "1", "2"], ["-1"])))]
+        argv += ["--max-n", draw(_either((["4", "6"], ["-1", "0"])))]
+        argv += ["--epsilon", draw(_either(RATIONALS))]
+    return argv
+
+
+class TestAnyArguments:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exit_code_and_no_traceback(self, input_files, data):
+        argv = data.draw(cli_argvs(input_files))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+                assert code == 2
+                return
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -97,6 +97,11 @@ PINNED_ERRORS = [
     ("3 2\n0 1\n", {}, 3, "header declared 2 edges, found 1"),
     ("4 3\n0 1\n0 1\n2 3", {}, 3, "duplicate edge 0 1"),
     ("# c\n3 3\n0 1\n# c\n1 2\n1 0\n", {}, 6, "duplicate edge 1 0"),
+    # More than one fault: a duplicate is reported only when nothing else is.
+    ("4 3\n0 1\n0 1\n", {}, 4, "header declared 3 edges, found 2"),
+    ("4 3\n1 0\n0 1\n0 9\n", {}, 4, "vertex out of range 0..3 in edge 0 9"),
+    ("4 2\n0 1\n1 0\n2 3\n", {}, 4, "trailing garbage after 2 edges: '2 3'"),
+    ("# c\n4 4\n0 1\n1 0\n2 3\n0 1\n", {}, 4, "duplicate edge 1 0"),
 ]
 
 
@@ -107,6 +112,12 @@ class TestParseErrors:
             parse_graph(text, **kwargs)
         assert exc.value.line_no == line_no
         assert str(exc.value) == f"line {line_no}: {message}"
+
+    @pytest.mark.parametrize("text, kwargs, line_no, message", PINNED_ERRORS)
+    def test_reference_gives_the_same_error(self, text, kwargs, line_no, message):
+        with pytest.raises(ParseError) as exc:
+            reference_parse_graph(text, **kwargs)
+        assert (exc.value.line_no, str(exc.value)) == (line_no, f"line {line_no}: {message}")
 
 
 def _outcome(parse, text, max_n):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from c4free import (
     DominatingPair,
     GraphInputError,
+    InvariantViolation,
     best_pair_intersection,
     build_graph,
     check_certificate,
@@ -454,3 +455,84 @@ class TestCertificateSoundness:
         for cert in (extract_general(g), extract_triple(g)):
             assert check_certificate(g, cert)
             assert cert.size <= omega
+
+
+class TestCertificateGate:
+    """Every extractor refuses a route that hands back a bad clique.
+
+    Each test forces one route to return a non-clique or an undersized set;
+    on valid input none of these routes can, so the refusal is an
+    InvariantViolation.
+    """
+
+    def test_regular_structure_route_message(self, monkeypatch):
+        monkeypatch.setattr(
+            "c4free.extraction.find_dominating_nonadjacent_pair", lambda g: None
+        )
+        with pytest.raises(InvariantViolation) as exc:
+            extract_regular(cycle_power(2))
+        assert str(exc.value) == (
+            "guarantee violated: no dominating non-adjacent pair although the "
+            "graph has an independent triple (independent set of size 3 found: (0, 3, 6))"
+        )
+
+    def test_regular_wrong_pair(self, monkeypatch):
+        # An adjacent pair dominates nothing the degree count can use.
+        monkeypatch.setattr(
+            "c4free.extraction.find_dominating_nonadjacent_pair",
+            lambda g: DominatingPair(0, 1),
+        )
+        with pytest.raises(InvariantViolation):
+            extract_regular(cycle_power(2))
+
+    def test_general_covering_pick_non_clique(self, monkeypatch):
+        # Star-labelled P3: with the augmentation silenced, the covering
+        # route picks the centre's bucket {0, 1, 2}, which is not a clique.
+        monkeypatch.setattr(
+            "c4free.extraction._first_nonadjacent_in_buckets", lambda g, buckets: None
+        )
+        with pytest.raises(InvariantViolation):
+            extract_general(build_graph(3, [(0, 1), (0, 2)]))
+
+    def test_triple_non_clique(self, monkeypatch):
+        # (0, 3) is a non-edge of cycle_power(2), and 2 > d - n/3 = 1.
+        monkeypatch.setattr(
+            "c4free.extraction.best_pair_intersection", lambda g, s: (0, 3, (0, 3))
+        )
+        with pytest.raises(InvariantViolation):
+            extract_triple(cycle_power(2))
+
+    def test_triple_undersized(self, monkeypatch):
+        monkeypatch.setattr(
+            "c4free.extraction.best_pair_intersection", lambda g, s: (0, 3, (1,))
+        )
+        with pytest.raises(InvariantViolation):
+            extract_triple(cycle_power(2))
+
+    def test_large_alpha_non_clique(self, monkeypatch):
+        monkeypatch.setattr(
+            "c4free.extraction.best_pair_intersection", lambda g, s: (0, 2, (0, 2))
+        )
+        with pytest.raises(InvariantViolation):
+            extract_large_alpha(cycle(5), [0, 2], Fraction(1, 2))
+
+    def test_large_alpha_empty_under_hypothesis(self, monkeypatch):
+        # K7 minus the edge 01 meets the hypothesis for {0, 1} at eps 99/100
+        # (threshold 24/(99/100 * 25) + 1 < 2), and not at eps 1/2.
+        monkeypatch.setattr(
+            "c4free.extraction.best_pair_intersection", lambda g, s: (0, 1, ())
+        )
+        g = build_graph(7, [e for e in edges(complete(7)) if e != (0, 1)])
+        cert = extract_large_alpha(g, [0, 1], Fraction(1, 2))
+        assert cert.witness["route"] == "single-vertex"
+        with pytest.raises(InvariantViolation):
+            extract_large_alpha(g, [0, 1], Fraction(99, 100))
+
+    def test_dirac_non_clique(self, monkeypatch):
+        from c4free import extract_dirac, w5_blowup
+
+        monkeypatch.setattr(
+            "c4free.extraction.best_pair_intersection", lambda g, s: (3, 9, (3, 9))
+        )
+        with pytest.raises(InvariantViolation):
+            extract_dirac(w5_blowup([3, 3, 3, 3, 3, 3]), [3, 9], Fraction(1, 2))

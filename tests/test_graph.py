@@ -44,6 +44,7 @@ from helpers import (
     house,
     path,
     raw_graphs,
+    reference_bipartition,
     reference_classify_set,
     reference_clique_search,
     reference_independent_set_of_size,
@@ -408,6 +409,22 @@ class TestBipartition:
 
 class TestAgainstReferences:
     """The bit-parallel kernels against verbatim copies of the code they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_graphs(max_n=12), raw_graphs(max_n=7), st.booleans(), st.booleans())
+    def test_bipartition_matches_reference(self, g, h, flip, union):
+        g = complement(g) if flip else g
+        g = disjoint_union(g, h) if union else g
+        assert bipartition(g) == reference_bipartition(g)
+
+    @pytest.mark.parametrize("low", [edgeless(1), path(4), cycle(6), complement(cycle(4))])
+    @pytest.mark.parametrize("high", [cycle(3), cycle(5), complement(cycle(7)), petersen()])
+    def test_bipartite_component_below_an_odd_one(self, low, high):
+        g = disjoint_union(low, high)
+        assert isinstance(bipartition(g), OddCycle)
+        assert bipartition(g) == reference_bipartition(g)
+        g = disjoint_union(high, low)
+        assert bipartition(g) == reference_bipartition(g)
 
     @settings(max_examples=300, deadline=None)
     @given(raw_graphs(max_n=14), st.booleans())

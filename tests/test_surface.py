@@ -42,3 +42,14 @@ def test_every_export_resolves():
 def test_every_export_has_a_caller():
     unused = sorted(set(c4free.__all__) - _used_names())
     assert unused == []
+
+
+# `wc -l src/c4free/*.py`. A change that needs more lines raises this in the
+# same diff and says why in CHANGES.md.
+SRC_LINE_CEILING = 2681
+
+
+def test_src_line_ceiling():
+    paths = sorted((REPO / "src" / "c4free").glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    assert lines <= SRC_LINE_CEILING
