@@ -18,8 +18,8 @@ from typing import Optional
 from .graph import Graph, GraphInputError, _above, _bit_indices, _graph_of
 
 # At the cap, `check c4free` on a relabelled cycle_power(1023) (n = 4093,
-# 4 187 139 edges, 39.6 MB; Python 3.11.7, 2 shared vCPUs) parses in 2.2 s
-# (10.4 s line by line) and scans in 19.4 s, peaking at 92 MiB RSS (872 MiB
+# 4 187 139 edges, 39.6 MB; Python 3.11.7, 2 shared vCPUs) parses in 1.5-2.5 s
+# (10.4 s line by line) and scans in 2.6-3.0 s, peaking at 92 MiB RSS (872 MiB
 # line by line). Kept at 4096, with no work budget: no workload needs more.
 CLI_VERTEX_LIMIT = 4096
 

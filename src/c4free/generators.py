@@ -20,7 +20,6 @@ from .graph import (
     _bit_indices,
     _graph_of,
     _scan_induced_c4,
-    build_graph,
     find_induced_c4,
     require_c4free,
 )
@@ -111,12 +110,9 @@ def cycle_power(k: int) -> Graph:
     if k < 1:
         raise GraphInputError(f"k must be at least 1, got {k}")
     n = 4 * k + 1
-    edges = []
-    for i in range(n):
-        for d in range(1, k + 1):
-            j = (i + d) % n
-            edges.append((i, j))
-    g = build_graph(n, edges)
+    # Vertex 0 sees labels 1..k and n-k..n-1; vertex i sees that band rotated by i.
+    band = ((1 << k) - 1) * (2 | 1 << (n - k))
+    g = _graph_of([(band << i | band >> (n - i)) & ((1 << n) - 1) for i in range(n)])
     if any(deg != 2 * k for deg in g.degrees()):
         raise InvariantViolation(f"cycle_power({k}) is not {2 * k}-regular")
     witness = find_induced_c4(g)
@@ -169,9 +165,9 @@ def clique_substitution(base: Graph, sizes: Sequence[int]) -> Graph:
 
 def w5_base() -> Graph:
     """The 5-wheel: hub 0 joined to the cycle 1-2-3-4-5-1."""
-    edges = [(0, i) for i in range(1, 6)]
-    edges += [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
-    return build_graph(6, edges)
+    # Rim vertex i sees the hub and its cycle neighbours i % 5 + 1 and (i - 2) % 5 + 1.
+    rim = [1 | 1 << i % 5 + 1 | 1 << (i - 2) % 5 + 1 for i in range(1, 6)]
+    return _graph_of([0b111110] + rim)
 
 
 def w5_blowup(sizes: Sequence[int]) -> Graph:

@@ -11,9 +11,11 @@ outputs.
 from __future__ import annotations
 
 import itertools
+from binascii import b2a_base64
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from functools import cached_property, reduce
+from operator import and_, getitem, or_
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 VertexSet = tuple[int, ...]
 
@@ -107,8 +109,10 @@ class Graph:
     def _witness(self) -> Optional[FoundC4]:
         # The first witness of the pair scan lies on class minima: a
         # smaller twin of any of its four vertices gives a witness the scan
-        # meets earlier. So the scan of the minima alone finds it.
-        return _scan_induced_c4(self.adj, self.n, 0, _quotient(self)[0])
+        # meets earlier. So the scan of the minima alone finds it. The rows
+        # never change, so the scan may build block tables once it has met
+        # about as many pairs (2n) as building them costs.
+        return _scan_induced_c4(self.adj, self.n, 0, _reps(self), 2 * self.n)
 
 
 def _graph_of(adj: Sequence[int], c4free: bool = False) -> Graph:
@@ -188,8 +192,52 @@ def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
     return not any(g.adj[v] & mask for v in _bit_indices(mask))
 
 
+# base64 writes one character for each 6 bits, most significant first.
+_B64_VALUES = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(64))
+)
+
+
+def _block_tables(adj: Sequence[int], n: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    # For each block of six labels, from the highest down, the ORs of its
+    # rows and the ANDs of its closed rows, one entry for each of the 64
+    # subsets. Written in size bytes, a multiple of 3, a mask's base64
+    # characters are its blocks; the blocks at or above n are empty. The
+    # tables take about 20 times the memory of adj, 41 MiB at n = 4093;
+    # eight-label blocks take three times that, four-label ones more lookups.
+    size = 3 * -(-n // 24)
+    ors, ands = [], []
+    for base in reversed(range(0, 8 * size, 6)):
+        block = range(base, min(base + 6, n))
+        for tables, sub, op, rows in (
+            (ors, [0], or_, [adj[v] for v in block]),
+            (ands, [-1], and_, [adj[v] | 1 << v for v in block]),
+        ):
+            for row in rows:
+                sub += [op(entry, row) for entry in sub]
+            tables.append(sub)
+    return size, ors, ands
+
+
+def _fold(op: Callable[[int, int], int], tables: list[list[int]], size: int, mask: int) -> int:
+    # op over the entries that the blocks of mask select: one C-level lookup
+    # per block.
+    digits = b2a_base64(mask.to_bytes(size, "big"), newline=False).translate(_B64_VALUES)
+    return reduce(op, map(getitem, tables, digits))
+
+
+def _grown(adj: Sequence[int], clique: int, grow: int) -> int:
+    # clique grown greedily, in ascending order, by members of grow, the
+    # vertices adjacent to all of it.
+    while grow:
+        bit = grow & -grow
+        clique |= bit
+        grow &= adj[bit.bit_length() - 1]
+    return clique
+
+
 def _scan_induced_c4(
-    adj: Sequence[int], n: int, start: int = 0, verts: int = -1
+    adj: Sequence[int], n: int, start: int = 0, verts: int = -1, budget: Optional[int] = None
 ) -> Optional[FoundC4]:
     # For each non-adjacent pair (u, v) of verts, u >= start, in
     # lexicographic order, look for a non-adjacent pair (p, q) of verts
@@ -198,10 +246,20 @@ def _scan_induced_c4(
     # ascending order, to a maximal clique inside N(u) and kept for the row.
     # A later common neighbourhood inside a kept clique holds no non-adjacent
     # pair, so skipping it leaves the first witness unchanged.
+    # Given a budget, block tables are built at the first row whose earlier
+    # rows hold that many pairs, and from there each clique settles its pairs
+    # in bulk: C grows at once to K = C ∪ (row ∩ ⋂_{p∈C} N(p)) when that is a
+    # clique, and every pending v with no neighbour in row \ K is dropped, as
+    # N(u) ∩ N(v) ⊆ K. No budget, no tables: repair changes adj between scans.
     full = verts & (1 << n) - 1
+    tables = None
     for u in _bit_indices(full & -1 << start):
         row = adj[u] & full
         nonadj = full & ~row & (-1 << (u + 1))
+        if budget is not None and tables is None:
+            if budget <= 0:
+                size, ors, ands = tables = _block_tables(adj, n)
+            budget -= nonadj.bit_count()
         cliques: list[int] = []
         while nonadj:
             low = nonadj & -nonadj
@@ -214,6 +272,14 @@ def _scan_induced_c4(
                 if not common & ~clique:
                     break
             else:
+                if tables is not None:
+                    closed = _fold(and_, ands, size, common)
+                    if not common & ~closed:
+                        clique = row & closed
+                        if clique & ~_fold(and_, ands, size, clique):
+                            clique = _grown(adj, common, clique ^ common)
+                        nonadj &= _fold(or_, ors, size, row & ~clique)
+                        continue
                 # Members above p are the only candidates for q, so the
                 # last member is never tested.
                 rest = common
@@ -229,12 +295,7 @@ def _scan_induced_c4(
                     if cand:
                         q = (cand & -cand).bit_length() - 1
                         return FoundC4(u, p, v, q)
-                clique = common
-                while grow:
-                    bit = grow & -grow
-                    clique |= bit
-                    grow &= adj[bit.bit_length() - 1]
-                cliques.append(clique)
+                cliques.append(_grown(adj, common, grow))
     return None
 
 
@@ -371,10 +432,10 @@ def _lex_clique(
             return best_mask
 
 
-def _quotient(g: Graph) -> tuple[int, Sequence[int]]:
-    # Class minima and class masks; a twin-free graph is its own quotient.
+def _reps(g: Graph) -> int:
+    # The true-twin class minima: every vertex of a twin-free graph.
     twins = g._twins
-    return twins if twins is not None else (g.full_mask, [1 << v for v in range(g.n)])
+    return g.full_mask if twins is None else twins[0]
 
 
 def _check_limit(g: Graph, limit: int) -> None:
@@ -395,7 +456,10 @@ def max_clique_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
     minima weighted by class size and expands the result to whole classes.
     """
     _check_limit(g, limit)
-    reps, classes = _quotient(g)
+    twins = g._twins
+    if twins is None:
+        return _to_vertexset(_lex_clique(g.adj, g.full_mask, g.n, [1] * g.n))
+    reps, classes = twins
     mask = _lex_clique(g.adj, reps, g.n, [members.bit_count() for members in classes])
     return _to_vertexset(sum(classes[v] for v in _bit_indices(mask)))
 
@@ -410,7 +474,7 @@ def max_independent_set_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> Ve
     one, the least.
     """
     _check_limit(g, limit)
-    reps, co, ones = _quotient(g)[0], complement(g).adj, [1] * g.n
+    reps, co, ones = _reps(g), complement(g).adj, [1] * g.n
     flipped = [_reversed(row, g.n) for row in reversed(co)]
     alpha = _lex_clique(flipped, _reversed(reps, g.n), g.n, ones).bit_count()
     return _to_vertexset(_lex_clique(co, reps, alpha, ones, alpha - 1))
@@ -425,7 +489,7 @@ def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
     """
     if t < 1:
         raise GraphInputError(f"size must be at least 1, got {t}")
-    mask = _lex_clique(complement(g).adj, _quotient(g)[0], t, [1] * g.n)
+    mask = _lex_clique(complement(g).adj, _reps(g), t, [1] * g.n)
     return _to_vertexset(mask) if mask.bit_count() == t else None
 
 

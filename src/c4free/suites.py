@@ -8,7 +8,6 @@ and reruns the check.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -29,6 +28,7 @@ from .generators import (
     RNG_NAME,
     SplitMix64,
     _co_bipartite_c4free,
+    _pair_rows,
     _sample_edge_masks,
     cycle_power,
     random_c4free,
@@ -39,7 +39,6 @@ from .graph import (
     Graph,
     GraphInputError,
     _graph_of,
-    build_graph,
     common_neighbors,
     find_induced_c4,
     greedy_maximal_independent_set,
@@ -394,10 +393,9 @@ def _run_structure(config: SuiteConfig, report: Report) -> None:
 
 
 def _all_graphs(n: int) -> Iterator[Graph]:
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        yield build_graph(n, edges)
+    pairs = n * (n - 1) // 2
+    for mask in range(1 << pairs):
+        yield _graph_of(_pair_rows(n, bytes(mask >> i & 1 for i in range(pairs))))
 
 
 def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
