@@ -12,11 +12,12 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .edgelist import CLI_VERTEX_LIMIT, parse_graph, serialize_graph
+from .edgelist import CLI_VERTEX_LIMIT, _edge_lines, parse_graph
 from .extraction import (
+    _regular_k,
     extract_dirac,
     extract_general,
     extract_large_alpha,
@@ -89,12 +90,13 @@ def _read_text(path: str) -> str:
         raise GraphInputError(f"{name}: {exc}") from exc
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], pieces: Iterable[str]) -> None:
+    # Written piece by piece, so the whole text is never held at once.
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def _load_graph(path: str) -> Graph:
@@ -209,7 +211,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         g = clique_substitution(base, args.sizes)
     else:
         g = random_c4free(args.n, args.p, args.seed)
-    _write_text(args.o, serialize_graph(g))
+    _write_text(args.o, _edge_lines(g))
     return EXIT_OK
 
 
@@ -236,14 +238,11 @@ def _cmd_clique(args: argparse.Namespace) -> int:
             raise GraphInputError("--dirac is a preset of --method large-alpha")
         method = "dirac"
     if method == "auto":
-        k = (g.n - 1) // 4
-        regular_fit = (
-            g.n >= 5
-            and g.n % 4 == 1
-            and k >= 1
-            and all(deg == 2 * k for deg in g.degrees())
-        )
-        method = "regular" if regular_fit else "general"
+        try:
+            _regular_k(g)
+            method = "regular"
+        except GraphInputError:
+            method = "general"
 
     if args.exact_alpha and method != "general":
         raise GraphInputError("--exact-alpha applies to the general method only")

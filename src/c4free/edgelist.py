@@ -13,7 +13,7 @@ which alone reports errors.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph import Graph, GraphInputError, _above, _bit_indices, _graph_of
 
@@ -137,7 +137,13 @@ def _parse_lines(text: str, max_n: Optional[int]) -> Graph:
     return _graph_of([rows.get(v, 0) for v in range(header[0])])
 
 
+def _edge_lines(g: Graph) -> Iterator[str]:
+    # The header, then the edges of each row with an edge to a later vertex.
+    yield f"{g.n} {g.edge_count}\n"
+    for u, row in enumerate(g.adj):
+        if row >> u + 1:
+            yield f"{u} " + f"\n{u} ".join(map(str, _bit_indices(row & _above(u)))) + "\n"
+
+
 def serialize_graph(g: Graph) -> str:
-    rows = (f"{u} " + f"\n{u} ".join(map(str, _bit_indices(row & _above(u)))) + "\n"
-            for u, row in enumerate(g.adj) if row >> u + 1)
-    return f"{g.n} {g.edge_count}\n" + "".join(rows)
+    return "".join(_edge_lines(g))

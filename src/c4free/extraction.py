@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from itertools import combinations
+from operator import or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import (
     ORACLE_LIMIT_DEFAULT,
@@ -148,6 +151,30 @@ def _structure_route(
     return _certified(g, clique, METHOD_STRUCTURE, bound, precondition_met, witness)
 
 
+def _independent(g: Graph, members: Iterable[int]) -> list[int]:
+    s = sorted(set(members))
+    if not is_independent_set(g, s):
+        raise GraphInputError(f"set {tuple(s)} is not independent")
+    return s
+
+
+def _pair_meets(g: Graph, s: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    # (x, y, N(x) ∩ N(y)) for the pairs of s in lexicographic order, made one
+    # at a time: a user's independent set may hold thousands of vertices.
+    return ((x, y, g.adj[x] & g.adj[y]) for x, y in combinations(s, 2))
+
+
+def _regular_k(g: Graph) -> int:
+    # The regular method's input: 2k-regular on n = 4k+1 vertices, k >= 1.
+    n = g.n
+    if n < 5 or n % 4 != 1:
+        raise GraphInputError(f"vertex count must be 4k+1 with k >= 1, got n={n}")
+    k = (n - 1) // 4
+    if any(deg != 2 * k for deg in g.degrees()):
+        raise GraphInputError(f"graph is not {2 * k}-regular")
+    return k
+
+
 def find_dominating_nonadjacent_pair(g: Graph) -> Optional[DominatingPair]:
     """First non-adjacent pair (lexicographic) whose closed neighborhoods cover V."""
     full = g.full_mask
@@ -172,19 +199,8 @@ def best_pair_intersection(
     s = sorted(set(members))
     if len(s) < 2:
         raise GraphInputError(f"need at least 2 vertices, got {len(s)}")
-    if not is_independent_set(g, s):
-        raise GraphInputError(f"set {tuple(s)} is not independent")
-    best: Optional[tuple[int, int, int]] = None
-    best_size = -1
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            mask = g.adj[s[i]] & g.adj[s[j]]
-            size = mask.bit_count()
-            if size > best_size:
-                best_size = size
-                best = (s[i], s[j], mask)
-    assert best is not None
-    xi, xj, mask = best
+    meets = _pair_meets(g, _independent(g, s))
+    xi, xj, mask = max(meets, key=lambda meet: meet[2].bit_count())  # first of the largest
     clique = _to_vertexset(mask)
     if not is_clique(g, clique):
         raise GraphInputError(
@@ -211,12 +227,8 @@ def extract_regular(g: Graph) -> CliqueCertificate:
     have independence number at most 2 and the structure decomposition
     yields a clique of size at least (8k+2)/5 >= k+1.
     """
+    k = _regular_k(g)
     n = g.n
-    if n < 5 or n % 4 != 1:
-        raise GraphInputError(f"vertex count must be 4k+1 with k >= 1, got n={n}")
-    k = (n - 1) // 4
-    if any(deg != 2 * k for deg in g.degrees()):
-        raise GraphInputError(f"graph is not {2 * k}-regular")
     require_c4free(g)
     bound = Fraction(k + 1)
 
@@ -355,21 +367,11 @@ def extract_general(
             augmentations += 1
             continue
 
-        cover_sets: list[int] = []
-        for i in range(len(s_list)):
-            for j in range(i + 1, len(s_list)):
-                cover_sets.append(g.adj[s_list[i]] & g.adj[s_list[j]])
-        for x in s_list:
-            cover_sets.append(buckets[x] | (1 << x))
-        union = 0
-        best_mask = 0
-        for mask in cover_sets:
-            union |= mask
-            if mask.bit_count() > best_mask.bit_count():
-                best_mask = mask
-        if union != g.full_mask:
+        cover_sets = [mask for _, _, mask in _pair_meets(g, s_list)]
+        cover_sets += [buckets[x] | (1 << x) for x in s_list]
+        if reduce(or_, cover_sets) != g.full_mask:
             raise InvariantViolation("covering sets missed a vertex")
-        clique = _to_vertexset(best_mask)
+        clique = _to_vertexset(max(cover_sets, key=int.bit_count))
         witness = {"route": "covering", "independent_set": s_list, "cover_sets": len(cover_sets)}
         break
 
@@ -381,8 +383,7 @@ def _first_nonadjacent_in_buckets(
     g: Graph, buckets: dict[int, int]
 ) -> Optional[tuple[int, int, int]]:
     for x in sorted(buckets):
-        members = list(_bit_indices(buckets[x]))
-        for i, y in enumerate(members):
+        for y in _bit_indices(buckets[x]):
             missing = buckets[x] & ~g.adj[y] & _above(y)
             if missing:
                 z = (missing & -missing).bit_length() - 1
@@ -452,9 +453,7 @@ def extract_large_alpha(
         raise GraphInputError(f"epsilon must be strictly between 0 and 1, got {eps}")
     delta = _min_degree(g)
     n = g.n
-    s = sorted(set(members))
-    if not is_independent_set(g, s):
-        raise GraphInputError(f"set {tuple(s)} is not independent")
+    s = _independent(g, members)
 
     t = len(s)
     bound = (1 - eps) * Fraction(delta * delta, n)
@@ -532,20 +531,11 @@ def degree_square_census(g: Graph, members: Iterable[int]) -> dict:
     other two. Also returns the Cauchy-Schwarz floor t^2*d^2/n, which
     never exceeds the square sum when the set is independent.
     """
-    s = sorted(set(members))
-    if not is_independent_set(g, s):
-        raise GraphInputError(f"set {tuple(s)} is not independent")
+    s = _independent(g, members)
     s_mask = _mask_of(s)
-    sum_deg_sq = 0
-    for v in range(g.n):
-        deg = (g.adj[v] & s_mask).bit_count()
-        sum_deg_sq += deg * deg
+    sum_deg_sq = sum((row & s_mask).bit_count() ** 2 for row in g.adj)
     sum_sizes = sum(g.adj[x].bit_count() for x in s)
-    sum_pairwise = 0
-    for i in range(len(s)):
-        for j in range(len(s)):
-            if i != j:
-                sum_pairwise += (g.adj[s[i]] & g.adj[s[j]]).bit_count()
+    sum_pairwise = 2 * sum(mask.bit_count() for _, _, mask in _pair_meets(g, s))
     delta = g.min_degree()
     t = len(s)
     cs_floor = Fraction(t * t * delta * delta, g.n) if g.n else Fraction(0)

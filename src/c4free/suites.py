@@ -48,15 +48,6 @@ from .graph import (
 )
 from .structure import alpha2_decompose, clique_from_certificate, verify_certificate
 
-SUITE_NAMES = (
-    "cycle-powers",
-    "bounds-general",
-    "bounds-triple",
-    "large-alpha",
-    "structure",
-    "checker-equiv",
-)
-
 # Suites that test every extracted clique against the exact clique number.
 OMEGA_CHECKED = ("cycle-powers", "bounds-general", "bounds-triple", "large-alpha")
 
@@ -118,15 +109,7 @@ class Report:
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    runners = {
-        "cycle-powers": _run_cycle_powers,
-        "bounds-general": _run_bounds_general,
-        "bounds-triple": _run_bounds_triple,
-        "large-alpha": _run_large_alpha,
-        "structure": _run_structure,
-        "checker-equiv": _run_checker_equiv,
-    }
-    if config.suite not in runners:
+    if config.suite not in _RUNNERS:
         raise GraphInputError(
             f"unknown suite {config.suite!r}; choose from {', '.join(SUITE_NAMES)}"
         )
@@ -147,7 +130,7 @@ def run_suite(config: SuiteConfig) -> Report:
     if config.suite in sampled and (config.samples == 0 or config.max_n < 5):
         raise GraphInputError(f"suite {config.suite} needs samples >= 1 and max_n >= 5")
     report = Report(suite=config.suite, config=config.echo())
-    runners[config.suite](config, report)
+    _RUNNERS[config.suite](config, report)
     return report
 
 
@@ -431,6 +414,17 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
             witness_summary={"edges": g.edge_count},
             repro=_rerun_repro(config, config.samples, config.max_n),
         ))
+
+
+_RUNNERS = {
+    "cycle-powers": _run_cycle_powers,
+    "bounds-general": _run_bounds_general,
+    "bounds-triple": _run_bounds_triple,
+    "large-alpha": _run_large_alpha,
+    "structure": _run_structure,
+    "checker-equiv": _run_checker_equiv,
+}
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def _detectors_agree(g: Graph) -> bool:

@@ -4,8 +4,8 @@ The brute-force oracles deliberately avoid the library's search code:
 cliques and independent sets are found by enumerating subsets, so they
 stay an independent cross-check for the branch-and-bound oracle. The
 ``reference_*`` functions are verbatim copies of the plain code that a
-faster or smaller path in ``graph.py``, ``generators.py``, ``edgelist.py``
-or ``suites.py`` replaced; differential tests require equal results.
+faster or smaller path in ``graph.py``, ``generators.py``, ``edgelist.py``,
+``extraction.py`` or ``suites.py`` replaced; differential tests require equal results.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from c4free.graph import (
     FoundC4,
     InvariantViolation,
     OddCycle,
+    VertexSet,
     _above,
     _bit_indices,
     _canonical_cycle,
@@ -39,6 +40,8 @@ from c4free.graph import (
     _mask_of,
     _shortest_odd_cycle,
     _to_vertexset,
+    is_clique,
+    is_independent_set,
     require_c4free,
 )
 from c4free.suites import SuiteConfig
@@ -483,6 +486,78 @@ def reference_clique_substitution(base: Graph, sizes: Sequence[int]) -> Graph:
             f"clique substitution produced an induced 4-cycle {witness.vertices}"
         )
     return g
+
+
+# Verbatim copies of the two pair scans over an independent set that
+# ``extraction._pair_meets`` replaced.
+
+
+def reference_best_pair_intersection(
+    g: Graph, members: Sequence[int]
+) -> tuple[int, int, VertexSet]:
+    """Pair of the independent set with the largest common neighborhood.
+
+    Pairs are scanned in lexicographic order and ties keep the first
+    pair. Because g has no induced 4-cycle, the winning intersection
+    spans a clique; that is asserted.
+    """
+    s = sorted(set(members))
+    if len(s) < 2:
+        raise GraphInputError(f"need at least 2 vertices, got {len(s)}")
+    if not is_independent_set(g, s):
+        raise GraphInputError(f"set {tuple(s)} is not independent")
+    best: Optional[tuple[int, int, int]] = None
+    best_size = -1
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            mask = g.adj[s[i]] & g.adj[s[j]]
+            size = mask.bit_count()
+            if size > best_size:
+                best_size = size
+                best = (s[i], s[j], mask)
+    assert best is not None
+    xi, xj, mask = best
+    clique = _to_vertexset(mask)
+    if not is_clique(g, clique):
+        raise GraphInputError(
+            f"common neighborhood of {xi} and {xj} is not a clique; "
+            "the graph has an induced 4-cycle"
+        )
+    return (xi, xj, clique)
+
+
+def reference_degree_square_census(g: Graph, members: Iterable[int]) -> dict:
+    """Exact tallies for the incidence between an independent set and V.
+
+    Writing deg(v) for the number of set members adjacent to v, returns
+    sum deg(v)^2, sum |A_i|, and the ordered pairwise intersection total
+    sum_{i != j} |A_i ∩ A_j|; the first always equals the sum of the
+    other two. Also returns the Cauchy-Schwarz floor t^2*d^2/n, which
+    never exceeds the square sum when the set is independent.
+    """
+    s = sorted(set(members))
+    if not is_independent_set(g, s):
+        raise GraphInputError(f"set {tuple(s)} is not independent")
+    s_mask = _mask_of(s)
+    sum_deg_sq = 0
+    for v in range(g.n):
+        deg = (g.adj[v] & s_mask).bit_count()
+        sum_deg_sq += deg * deg
+    sum_sizes = sum(g.adj[x].bit_count() for x in s)
+    sum_pairwise = 0
+    for i in range(len(s)):
+        for j in range(len(s)):
+            if i != j:
+                sum_pairwise += (g.adj[s[i]] & g.adj[s[j]]).bit_count()
+    delta = g.min_degree()
+    t = len(s)
+    cs_floor = Fraction(t * t * delta * delta, g.n) if g.n else Fraction(0)
+    return {
+        "sum_deg_sq": sum_deg_sq,
+        "sum_sizes": sum_sizes,
+        "sum_pairwise": sum_pairwise,
+        "cs_floor": cs_floor,
+    }
 
 
 def relabelled(g: Graph, seed: int) -> Graph:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from c4free import build_graph, cycle_power, parse_graph, serialize_graph
 from c4free.cli import main
 from c4free.suites import SUITE_NAMES
-from helpers import complete, cycle, edges, relabelled_w5_blowup
+from helpers import complete, cycle, edges, path, relabelled_w5_blowup
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +211,20 @@ class TestClique:
         code, out, _ = run_cli(capsys, "clique", "extract", str(f))
         assert code == 0
         assert json.loads(out)["method"] == "general"
+
+    @pytest.mark.parametrize(
+        "g",
+        [path(5), complete(5), cycle(9), cycle(6), complete(4), cycle(3), complete(1)],
+        ids=["n5-irregular", "n5-4regular", "n9-2regular", "c6", "k4", "k3", "k1"],
+    )
+    def test_extract_auto_near_misses_pick_general(self, capsys, tmp_path, g):
+        # n = 4k+1 but not 2k-regular, regular but n != 4k+1, and n < 5.
+        f = tmp_path / "g.txt"
+        f.write_text(serialize_graph(g))
+        code, auto, _ = run_cli(capsys, "clique", "extract", str(f))
+        assert code == 0
+        assert json.loads(auto)["method"] == "general"
+        assert run_cli(capsys, "clique", "extract", "--method", "general", str(f)) == (0, auto, "")
 
     def test_extract_large_alpha_with_set(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
@@ -463,16 +477,20 @@ INPUTS = {
     "empty": "", "n0": "0 0\n", "n1": "1 0\n", "c4": "4 4\n0 1\n1 2\n2 3\n0 3\n",
     "c5": "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n", "k3": "3 3\n0 1\n0 2\n1 2\n",
     "p3": "3 2\n0 1\n0 2\n", "duplicate": "3 2\n0 1\n1 0\n", "range": "3 1\n0 5\n",
-    "garbage": "2 1\n0 1\nx\n",
+    "garbage": "2 1\n0 1\nx\n", "latin1": b"\xff\xfe 1 0\n", "missing": None,
 }
 
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
+    """Paths of the INPUTS (None: left missing) and of their folder."""
     folder = tmp_path_factory.mktemp("inputs")
     for name, text in INPUTS.items():
-        (folder / name).write_text(text)
-    return {name: str(folder / name) for name in INPUTS}
+        if isinstance(text, bytes):
+            (folder / name).write_bytes(text)
+        elif text is not None:
+            (folder / name).write_text(text)
+    return {"directory": str(folder), **{name: str(folder / name) for name in INPUTS}}
 
 
 @st.composite
@@ -484,16 +502,30 @@ def _either(draw, values):
 
 @st.composite
 def cli_argvs(draw, files):
-    command = draw(st.sampled_from(["gen random", "gen w5", "clique extract", "verify"]))
+    command = draw(st.sampled_from([
+        "gen random", "gen w5", "gen cycle-power", "gen substitute", "check c4free",
+        "clique exact", "clique extract", "structure", "verify",
+    ]))
     argv = command.split()
-    if command == "gen random":
+    graph_file = files[draw(st.sampled_from(sorted(files)))]
+    if command in ("check c4free", "clique exact", "structure"):
+        argv.append(graph_file)
+        if command == "clique exact" and draw(st.booleans()):
+            argv += ["--oracle-limit", draw(_either((["5", "48"], ["-1", "0"])))]
+    elif command == "gen cycle-power":
+        argv += ["--k", draw(_either((["1", "2"], ["0", "-1", str(10**14)])))]
+    elif command == "gen substitute":
+        argv += ["--base", graph_file]
+        argv += ["--sizes", draw(_either((["1", "1,2,0", "2,1,1,1,1", "1,0,2,1,1"],
+                                          SIZE_LISTS[1])))]
+    elif command == "gen random":
         argv += ["--n", draw(_either((["0", "1", "3", "6"], ["-1"])))]
         argv += ["--p", draw(_either(RATIONALS))]
         argv += ["--seed", draw(_either(SEEDS))]
     elif command == "gen w5":
         argv += ["--sizes", draw(_either(SIZE_LISTS))]
     elif command == "clique extract":
-        argv.append(files[draw(st.sampled_from(sorted(files)))])
+        argv.append(graph_file)
         method = ["auto", "regular", "general", "triple", "large-alpha"]
         argv += ["--method", draw(st.sampled_from(method))]
         argv += ["--epsilon", draw(_either(RATIONALS))]
@@ -508,6 +540,11 @@ def cli_argvs(draw, files):
         argv += ["--samples", draw(_either((["0", "1", "2"], ["-1"])))]
         argv += ["--max-n", draw(_either((["4", "6"], ["-1", "0"])))]
         argv += ["--epsilon", draw(_either(RATIONALS))]
+        if draw(st.booleans()):
+            folder = files["directory"]
+            argv += ["--json", draw(st.sampled_from(
+                ["-", f"{folder}/report.json", folder, f"{files['missing']}/report.json"]
+            ))]
     return argv
 
 

@@ -27,7 +27,7 @@ from c4free import (
     is_clique,
     max_clique_exact,
 )
-from c4free.extraction import METHOD_STRUCTURE, METHOD_TRIPLE
+from c4free.extraction import METHOD_STRUCTURE, METHOD_TRIPLE, _pair_meets
 from helpers import (
     c4free_graphs,
     complete,
@@ -37,6 +37,8 @@ from helpers import (
     edges,
     neighbors,
     path,
+    reference_best_pair_intersection,
+    reference_degree_square_census,
     star,
 )
 
@@ -443,6 +445,54 @@ class TestDegreeSquareCensus:
             return
         census = degree_square_census(g, s)
         assert census["sum_deg_sq"] == census["sum_sizes"] + census["sum_pairwise"]
+
+
+@st.composite
+def member_lists(draw, g):
+    """Independent, dependent, duplicated, out-of-range or short member lists."""
+    kind = draw(st.sampled_from(["independent", "duplicated", "any", "short"]))
+    if kind == "any":
+        return draw(st.lists(st.integers(-2, g.n + 2), max_size=8))
+    if kind == "short":
+        return draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=1))
+    greedy = greedy_maximal_independent_set(g)
+    members = draw(st.lists(st.sampled_from(greedy), max_size=8)) if greedy else []
+    if kind == "duplicated":
+        members += members
+    return draw(st.permutations(members))
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except GraphInputError as exc:
+        return (type(exc), str(exc))
+
+
+class TestPairScanReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_best_pair_intersection_matches_reference(self, data):
+        g = data.draw(c4free_graphs(max_n=16))
+        members = data.draw(member_lists(g))
+        assert _outcome(best_pair_intersection, g, members) == _outcome(
+            reference_best_pair_intersection, g, members
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_degree_square_census_matches_reference(self, data):
+        g = data.draw(c4free_graphs(max_n=16))
+        members = data.draw(member_lists(g))
+        assert _outcome(degree_square_census, g, members) == _outcome(
+            reference_degree_square_census, g, members
+        )
+
+    def test_pair_meets_is_lazy(self):
+        # Four and a half million pairs: only the first is made.
+        meets = _pair_meets(edgeless(3000), range(3000))
+        assert iter(meets) is meets
+        assert next(meets) == (0, 1, 0)
 
 
 class TestCertificateSoundness:
