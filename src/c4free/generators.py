@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .graph import (
     FoundC4,
     Graph,
     GraphInputError,
     InvariantViolation,
-    _above,
     _bit_indices,
     _graph_of,
     _scan_induced_c4,
@@ -149,9 +148,7 @@ def clique_substitution(base: Graph, sizes: Sequence[int]) -> Graph:
         total += s
     adj = []
     for u, s in enumerate(sizes):
-        row = group[u]
-        for v in _bit_indices(base.adj[u]):
-            row |= group[v]
+        row = group[u] | sum(group[v] for v in _bit_indices(base.adj[u]))
         start = len(adj)
         adj.extend(row ^ (1 << i) for i in range(start, start + s))
     g = _graph_of(adj)
@@ -216,33 +213,68 @@ def random_c4free(
     adj = _sample_edge_masks(n, prob, seed)
     if skip_isolated and not all(adj):
         return None
-    return _repair(adj, n, _delete_edge)
+    return _repair(adj, n)
 
 
-def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
-    """Complement of a random bipartite graph, repaired by chords.
-
-    While the scan finds an induced cycle (a, b, c, d) the chord (a, c) is
-    added: both sides stay cliques, so the complement stays bipartite, and
-    missing pairs strictly decrease, so the loop ends. The scan then resumes
-    at row min(a, y), y the least vertex of N(a) XOR N(c) other than a and
-    c, since only pairs joining a or c to that set gain a common neighbour.
-    """
+def _co_bipartite_sample(n: int, side_mask: int, seed: int) -> list[int]:
     side = bytes(side_mask >> v & 1 for v in range(n))
     # Same-side pairs are edges. Each cross pair is a %c slot, filled in pair
     # order from the stream with p = 1/2.
     slots = b"".join(side[u + 1:].translate(_SLOTS[side[u]]) for u in range(n))
     draws = _draws_below(seed, slots.count(b"%"), 1 << 63)
-    return _repair(_pair_rows(n, slots.replace(b"%", b"%c") % tuple(draws)), n, _add_chord)
+    return _pair_rows(n, slots.replace(b"%", b"%c") % tuple(draws))
 
 
-def _repair(adj: list[int], n: int, fix: Callable[[list[int], FoundC4], int]) -> Graph:
-    # fix returns the first row its repair can have made bad. The loop ends
-    # only on a clean scan from row 0, so no output rests on that bound alone,
-    # and the graph carries that scan's verdict.
+def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
+    """Complement of a random bipartite graph, repaired by chords.
+
+    Works on the complement H, h[u] the cross pairs at u that are not edges.
+    A pair (x, w) of H, x < w, lies on an induced cycle (x, p, w, q) iff w
+    is outside I, the AND of h[p] over D: the p != x on x's side with a q in
+    h[p] but not in h[x]. Each row, in order, takes the chord of its lowest
+    bad pair while it has one, as a scan from row 0 would. The chord grows
+    D by h[w] only, so I is kept, and it never spoils a lower row (README),
+    so no row is visited twice. H ends a chain graph (no induced 2K2); one
+    clean scan from row 0 checks the result.
+    """
+    full = (1 << n) - 1
+    sides = (full & ~side_mask, full & side_mask)
+    rows = _co_bipartite_sample(n, side_mask, seed)
+    h = [sides[1 ^ side_mask >> u & 1] & ~row for u, row in enumerate(rows)]
+    for x in range(n):
+        hx = h[x]
+        if hx >> x + 1:
+            # Rows across from x, and row x itself, miss other: D meets it.
+            other = sides[1 ^ side_mask >> x & 1] & ~hx
+            inter, members = -1, 0
+            for p, hp in enumerate(h):
+                if hp & other:
+                    inter &= hp
+                    members |= 1 << p
+            while bad := hx & ~inter & -1 << x + 1:
+                w = (bad & -bad).bit_length() - 1
+                hx ^= 1 << w
+                h[w] ^= 1 << x
+                grow = h[w] & ~members
+                members |= grow
+                while grow:
+                    low = grow & -grow
+                    grow ^= low
+                    inter &= h[low.bit_length() - 1]
+            h[x] = hx
+    adj = [full ^ 1 << u ^ hu for u, hu in enumerate(h)]
+    if (witness := _scan_induced_c4(adj, n)) is not None:
+        raise InvariantViolation(f"chord repair left the induced 4-cycle {witness.vertices}")
+    return _graph_of(adj, c4free=True)
+
+
+def _repair(adj: list[int], n: int) -> Graph:
+    # _delete_edge returns the first row its deletion can have made bad. The
+    # loop ends only on a clean scan from row 0, so no output rests on that
+    # bound alone, and the graph carries that scan's verdict.
     start = 0
     while (witness := _scan_induced_c4(adj, n, start)) is not None:
-        start = fix(adj, witness)
+        start = _delete_edge(adj, witness)
     if start and (witness := _scan_induced_c4(adj, n)) is not None:
         raise InvariantViolation(f"repair resumed past the induced 4-cycle {witness.vertices}")
     return _graph_of(adj, c4free=True)
@@ -254,14 +286,6 @@ def _delete_edge(adj: list[int], witness: FoundC4) -> int:
     adj[b] &= ~(1 << a)
     common = adj[a] & adj[b]
     for x in _bit_indices(common & ((1 << min(a, b)) - 1)):
-        if common & ~adj[x] & _above(x):
+        if common & ~adj[x] & -1 << x + 1:
             return x
     return min(a, b)
-
-
-def _add_chord(adj: list[int], witness: FoundC4) -> int:
-    a, c = witness.a, witness.c
-    adj[a] |= 1 << c
-    adj[c] |= 1 << a
-    diff = (adj[a] ^ adj[c]) & ~(1 << a | 1 << c)
-    return min(a, (diff & -diff).bit_length() - 1) if diff else a

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from c4free import (
     w5_blowup,
 )
 from c4free.edgelist import CLI_VERTEX_LIMIT, ParseError
-from c4free.generators import SplitMix64
+from c4free.generators import _SLOTS, SplitMix64, _draws_below, _pair_rows
 from c4free.graph import (
     FoundC4,
     InvariantViolation,
@@ -37,7 +37,9 @@ from c4free.graph import (
     _bit_indices,
     _canonical_cycle,
     _check_vertex,
+    _graph_of,
     _mask_of,
+    _scan_induced_c4,
     _shortest_odd_cycle,
     _to_vertexset,
     is_clique,
@@ -230,6 +232,41 @@ def reference_co_bipartite_sample(n: int, side_mask: int, seed: int) -> list[int
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return adj
+
+
+# Verbatim copy of the co-bipartite generator that the row kernel on the
+# complement in ``generators._co_bipartite_c4free`` replaced: the lane
+# sampler, then the resumed repair loop, adding the chord (a, c) of each
+# witness and resuming at the first row that the chord can have made bad.
+
+
+def reference_co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
+    side = bytes(side_mask >> v & 1 for v in range(n))
+    # Same-side pairs are edges. Each cross pair is a %c slot, filled in pair
+    # order from the stream with p = 1/2.
+    slots = b"".join(side[u + 1:].translate(_SLOTS[side[u]]) for u in range(n))
+    draws = _draws_below(seed, slots.count(b"%"), 1 << 63)
+    return _repair(_pair_rows(n, slots.replace(b"%", b"%c") % tuple(draws)), n, _add_chord)
+
+
+def _repair(adj: list[int], n: int, fix: Callable[[list[int], FoundC4], int]) -> Graph:
+    # fix returns the first row its repair can have made bad. The loop ends
+    # only on a clean scan from row 0, so no output rests on that bound alone,
+    # and the graph carries that scan's verdict.
+    start = 0
+    while (witness := _scan_induced_c4(adj, n, start)) is not None:
+        start = fix(adj, witness)
+    if start and (witness := _scan_induced_c4(adj, n)) is not None:
+        raise InvariantViolation(f"repair resumed past the induced 4-cycle {witness.vertices}")
+    return _graph_of(adj, c4free=True)
+
+
+def _add_chord(adj: list[int], witness: FoundC4) -> int:
+    a, c = witness.a, witness.c
+    adj[a] |= 1 << c
+    adj[c] |= 1 << a
+    diff = (adj[a] ^ adj[c]) & ~(1 << a | 1 << c)
+    return min(a, (diff & -diff).bit_length() - 1) if diff else a
 
 
 # Verbatim copies of the per-source BFS odd-cycle search, the queue BFS

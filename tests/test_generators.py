@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import c4free.generators as generators
+import helpers
 from c4free import (
     GraphInputError,
     InvariantViolation,
@@ -27,6 +29,7 @@ from c4free.generators import (
     _draws_below,
     _sample_edge_masks,
 )
+from c4free.graph import FoundC4
 from helpers import (
     ReferenceSplitMix64,
     c4free_graphs,
@@ -34,6 +37,7 @@ from helpers import (
     path,
     raw_graphs,
     reference_clique_substitution,
+    reference_co_bipartite_c4free,
     reference_co_bipartite_sample,
     reference_sample_edge_masks,
     reference_scan,
@@ -275,22 +279,21 @@ def _restart_repair(adj, n, chord):
 
 
 def _recorded(make):
-    """Run a generator; return its graph, its sampled adjacency and its fixes."""
-    real_repair = generators._repair
-    seen = {}
+    """Run random_c4free; return its graph, its sampled adjacency and its deletions."""
+    real_repair, real_delete = generators._repair, generators._delete_edge
+    seen = {"fixes": []}
 
-    def recording_repair(adj, n, fix):
+    def recording_repair(adj, n):
         seen["sampled"] = list(adj)
-        seen["fixes"] = fixes = []
+        return real_repair(adj, n)
 
-        def recording_fix(adj, witness):
-            fixes.append(witness)
-            return fix(adj, witness)
-
-        return real_repair(adj, n, recording_fix)
+    def recording_delete(adj, witness):
+        seen["fixes"].append(witness)
+        return real_delete(adj, witness)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(generators, "_repair", recording_repair)
+        mp.setattr(generators, "_delete_edge", recording_delete)
         g = make()
     return g, seen["sampled"], seen["fixes"]
 
@@ -312,14 +315,15 @@ class TestResumedRepair:
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(min_value=0, max_value=24),
-        side_mask=st.integers(min_value=0, max_value=2**24 - 1),
+        side_mask=st.integers(min_value=0, max_value=2**30),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
     def test_chords_match_restarting_reference(self, n, side_mask, seed):
-        side_mask &= (1 << n) - 1
-        g, sampled, fixes = _recorded(lambda: _co_bipartite_c4free(n, side_mask, seed))
-        adj, ref_fixes = _restart_repair(sampled, n, chord=True)
-        assert fixes == ref_fixes
+        # The row kernel keeps no fix list, so its graph is compared; side
+        # mask bits at or above n are ignored.
+        g = _co_bipartite_c4free(n, side_mask, seed)
+        sampled = reference_co_bipartite_sample(n, side_mask, seed)
+        adj = _restart_repair(sampled, n, chord=True)[0]
         assert g.adj == adj
         assert g.edge_count == sum(row.bit_count() for row in adj) // 2
 
@@ -332,33 +336,76 @@ class TestResumedRepair:
     )
     def test_no_new_witness_below_resume_row(self, n, k, seed, chord):
         # The resume claim itself, checked after every fix of a full repair
-        # of an arbitrary sampled graph, chords included.
+        # of an arbitrary sampled graph, chords included (by the resumed
+        # reference in helpers).
         adj = _sample_edge_masks(n, Fraction(k, 10), seed)
-        fix = generators._add_chord if chord else generators._delete_edge
+        fix = helpers._add_chord if chord else generators._delete_edge
         while (witness := reference_scan(adj, n)) is not None:
             start = fix(adj, witness)
             after = reference_scan(adj, n)
             assert after is None or after.a >= start
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=4, max_value=24),
+        side_mask=st.integers(min_value=0, max_value=2**24 - 1),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_chords_never_spoil_a_lower_row(self, n, side_mask, seed):
+        # What lets the row kernel visit each row once: in a co-bipartite
+        # graph, the restarting repair's chord rows never go down.
+        _, fixes = _restart_repair(reference_co_bipartite_sample(n, side_mask, seed), n, chord=True)
+        rows = [witness.a for witness in fixes]
+        assert rows == sorted(rows)
+
     @pytest.mark.parametrize(
         "fix_name, make, chord",
         [
             ("_delete_edge", lambda: random_c4free(16, Fraction(1, 2), 1), False),
-            ("_add_chord", lambda: _co_bipartite_c4free(16, 0x00FF, 1), True),
+            ("_add_chord", lambda: reference_co_bipartite_c4free(16, 0x00FF, 1), True),
         ],
     )
     def test_wrong_resume_row_is_caught(self, monkeypatch, fix_name, make, chord):
-        _, sampled, _ = _recorded(make)
+        # The chord case guards the resumed loop that the row kernel is
+        # checked against; the kernel's own guard is its final scan
+        # (TestCoBipartiteKernel).
+        if chord:
+            sampled = reference_co_bipartite_sample(16, 0x00FF, 1)
+        else:
+            _, sampled, _ = _recorded(make)
         assert len(_restart_repair(sampled, 16, chord)[1]) >= 2
-        real_fix = getattr(generators, fix_name)
+        module = helpers if chord else generators
+        real_fix = getattr(module, fix_name)
 
         def skip_to_end(adj, witness):
             real_fix(adj, witness)
             return len(adj)
 
-        monkeypatch.setattr(generators, fix_name, skip_to_end)
+        monkeypatch.setattr(module, fix_name, skip_to_end)
         with pytest.raises(InvariantViolation):
             make()
+
+
+class TestCoBipartiteKernel:
+    """The row kernel on the complement against the resumed chord repair."""
+
+    @pytest.mark.parametrize("n", [100, 200, 300])
+    @pytest.mark.parametrize("pattern", ["none", "all", "alternating", "random"])
+    def test_matches_resumed_reference(self, n, pattern):
+        side_mask = {
+            "none": 0,
+            "all": (1 << n) - 1,
+            "alternating": int("01" * n, 2),
+            "random": random.Random(n).getrandbits(n + 8),
+        }[pattern]
+        seed = n * 1000 + len(pattern)
+        expected = reference_co_bipartite_c4free(n, side_mask, seed)
+        assert _co_bipartite_c4free(n, side_mask, seed).adj == expected.adj
+
+    def test_final_scan_catches_a_bad_result(self, monkeypatch):
+        monkeypatch.setattr(generators, "_scan_induced_c4", lambda adj, n: FoundC4(0, 1, 2, 3))
+        with pytest.raises(InvariantViolation, match=r"left the induced 4-cycle \(0, 1, 2, 3\)"):
+            _co_bipartite_c4free(8, 0x0F, 1)
 
 
 # Seeds outside [0, 2**64) are taken mod 2**64, as SplitMix64 does.
@@ -430,5 +477,5 @@ class TestLaneDraws:
             st.sampled_from([0, (1 << n) - 1]),
             st.integers(min_value=0, max_value=2**70),
         ))
-        _, sampled, _ = _recorded(lambda: _co_bipartite_c4free(n, side_mask, seed))
+        sampled = generators._co_bipartite_sample(n, side_mask, seed)
         assert sampled == reference_co_bipartite_sample(n, side_mask, seed)

@@ -45,6 +45,14 @@ GOLDEN_FAILING = {
                       "40b1ece5ece7e1c938d340f4b197ba9e6825d4dd39260d3b9f2d28f3e9626d75"),
 }
 
+# Reports at a config of their own: suite, seed, samples, max-n, hash. The
+# structure suite at max-n 400 repairs co-bipartite instances far larger
+# than those at max-n 30.
+GOLDEN_CONFIGS = {
+    "structure-400": ("structure", 3, 20, 400,
+                      "404cd056c5a1f0289c001e78af14f6f8809e7b11d229e34d9556dd41810a4822"),
+}
+
 
 def _digest(report) -> str:
     return hashlib.sha256(report.to_json().encode()).hexdigest()
@@ -72,4 +80,12 @@ def test_failing_report_hash(suite, monkeypatch):
     report = run_suite(SuiteConfig(suite=suite, seed=1, samples=samples, max_n=max_n))
     assert report.passed == 0 and report.failed == len(report.records) > 0
     assert all(record["repro"].startswith("c4free ") for record in report.records)
+    assert _digest(report) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_config_report_hash(name):
+    suite, seed, samples, max_n, digest = GOLDEN_CONFIGS[name]
+    report = run_suite(SuiteConfig(suite=suite, seed=seed, samples=samples, max_n=max_n))
+    assert report.all_passed() and len(report.records) == samples
     assert _digest(report) == digest

@@ -88,15 +88,17 @@ class TestPinnedWitnesses:
                          (2, 3, 6, 4), (3, 6, 4, 8)], 32),
         ],
     )
-    def test_repair_fixes(self, case, fixes, edge_count):
+    def test_repair_fixes(self, monkeypatch, case, fixes, edge_count):
         g = pinned_graph(case)
         seen = []
+        real_delete = generators._delete_edge
 
         def recording_fix(adj, witness):
             seen.append(tuple(witness))
-            return generators._delete_edge(adj, witness)
+            return real_delete(adj, witness)
 
-        out = generators._repair(list(g.adj), g.n, recording_fix)
+        monkeypatch.setattr(generators, "_delete_edge", recording_fix)
+        out = generators._repair(list(g.adj), g.n)
         assert seen == fixes
         assert out.edge_count == edge_count
         assert find_induced_c4(out) is None
@@ -108,15 +110,17 @@ class TestPinnedWitnesses:
             (PINNED[3], "repair resumed past the induced 4-cycle (0, 4, 5, 8)"),
         ],
     )
-    def test_repair_resume_message(self, case, message):
+    def test_repair_resume_message(self, monkeypatch, case, message):
         g = pinned_graph(case)
+        real_delete = generators._delete_edge
 
         def skip_to_end(adj, witness):
-            generators._delete_edge(adj, witness)
+            real_delete(adj, witness)
             return len(adj)
 
+        monkeypatch.setattr(generators, "_delete_edge", skip_to_end)
         with pytest.raises(InvariantViolation) as exc:
-            generators._repair(list(g.adj), g.n, skip_to_end)
+            generators._repair(list(g.adj), g.n)
         assert str(exc.value) == message
 
 
