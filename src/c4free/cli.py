@@ -246,6 +246,8 @@ def _cmd_clique(args: argparse.Namespace) -> int:
 
     if args.exact_alpha and method != "general":
         raise GraphInputError("--exact-alpha applies to the general method only")
+    if args.independent_set is not None and method not in ("large-alpha", "dirac"):
+        raise GraphInputError("--independent-set applies to the large-alpha method only")
     if method == "regular":
         cert = extract_regular(g)
     elif method == "general":

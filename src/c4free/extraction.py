@@ -43,7 +43,7 @@ from .graph import (
     max_independent_set_exact,
     require_c4free,
 )
-from .structure import HypothesisViolation, alpha2_decompose, clique_from_certificate
+from .structure import HypothesisViolation, _best_clique, alpha2_decompose
 
 METHOD_REGULAR = "regular"
 METHOD_GENERAL = "general"
@@ -141,7 +141,7 @@ def _structure_route(
         struct_cert = alpha2_decompose(g)
     except HypothesisViolation as exc:
         raise InvariantViolation(f"guarantee violated: {reason} ({exc})") from exc
-    clique = clique_from_certificate(g, struct_cert)
+    clique = _best_clique(struct_cert)
     two_fifths = -((-2 * g.n) // 5)
     if len(clique) < two_fifths:
         raise InvariantViolation(

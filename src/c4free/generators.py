@@ -160,11 +160,13 @@ def clique_substitution(base: Graph, sizes: Sequence[int]) -> Graph:
     return g
 
 
+# The 5-wheel, built once so that its cached verdict serves every w5_blowup.
+_W5 = _graph_of([0b111110, 0b100101, 0b001011, 0b010101, 0b101001, 0b010011])
+
+
 def w5_base() -> Graph:
     """The 5-wheel: hub 0 joined to the cycle 1-2-3-4-5-1."""
-    # Rim vertex i sees the hub and its cycle neighbours i % 5 + 1 and (i - 2) % 5 + 1.
-    rim = [1 | 1 << i % 5 + 1 | 1 << (i - 2) % 5 + 1 for i in range(1, 6)]
-    return _graph_of([0b111110] + rim)
+    return _W5
 
 
 def w5_blowup(sizes: Sequence[int]) -> Graph:

@@ -18,7 +18,9 @@ from .graph import (
     InvariantViolation,
     OddCycle,
     VertexSet,
+    _bit_indices,
     _mask_of,
+    _to_vertexset,
     bipartition,
     complement,
     is_clique,
@@ -90,13 +92,10 @@ def alpha2_decompose(g: Graph) -> StructureCertificate:
 
     cyc = result.vertices
     if len(cyc) == 3:
-        raise HypothesisViolation(
-            f"independent set of size 3 found: {cyc}", witness=cyc
-        )
+        raise HypothesisViolation(f"independent set of size 3 found: {cyc}", witness=cyc)
     if len(cyc) != 5:  # unreachable for truly C4-free inputs
         raise HypothesisViolation(
-            f"complement has a chordless odd cycle of length {len(cyc)}: {cyc}",
-            witness=cyc,
+            f"complement has a chordless odd cycle of length {len(cyc)}: {cyc}", witness=cyc
         )
 
     # Consecutive on the complement cycle means non-adjacent in g, so the
@@ -105,40 +104,31 @@ def alpha2_decompose(g: Graph) -> StructureCertificate:
     rim_masks = [1 << v for v in rim]
     on_cycle = sum(rim_masks)
 
-    hub: list[int] = []
-    groups: list[list[int]] = [[rim[i]] for i in range(5)]
-    triples = [
-        sum(rim_masks[(i + d) % 5] for d in (-1, 0, 1)) for i in range(5)
-    ]
-    for w in range(g.n):
-        if on_cycle & (1 << w):
-            continue
+    # Patterns on the cycle: all five for the hub, three consecutive per group.
+    patterns = [on_cycle]
+    patterns += [rim_masks[i - 1] | rim_masks[i] | rim_masks[(i + 1) % 5] for i in range(5)]
+    groups = [0] + rim_masks
+    for w in _bit_indices(g.full_mask ^ on_cycle):
         pattern = g.adj[w] & on_cycle
-        if pattern == on_cycle:
-            hub.append(w)
-            continue
-        for i in range(5):
-            if pattern == triples[i]:
-                groups[i].append(w)
-                break
-        else:
+        if pattern not in patterns:
             raise HypothesisViolation(
                 f"vertex {w} is adjacent to neither all of {tuple(rim)} nor "
                 "exactly three consecutive of them",
                 witness=w,
             )
+        groups[patterns.index(pattern)] |= 1 << w
 
     # Canonical labeling: group 1 holds the smallest cycle vertex, and the
     # orientation makes group 2's smallest member minimal.
     anchor = rim.index(min(cyc))
-    forward = [sorted(groups[(anchor + d) % 5]) for d in range(5)]
-    backward = [sorted(groups[(anchor - d) % 5]) for d in range(5)]
-    ordered = forward if forward[1][0] < backward[1][0] else backward
+    forward = [groups[1 + (anchor + d) % 5] for d in range(5)]
+    backward = [groups[1 + (anchor - d) % 5] for d in range(5)]
+    ordered = forward if forward[1] & -forward[1] < backward[1] & -backward[1] else backward
 
     cert = StructureCertificate(
         kind=KIND_W5_SUBSTITUTION,
-        hub=tuple(sorted(hub)),
-        cycle_groups=tuple(tuple(q) for q in ordered),
+        hub=_to_vertexset(groups[0]),
+        cycle_groups=tuple(_to_vertexset(q) for q in ordered),
     )
     failure = find_certificate_violation(g, cert)
     if failure is not None:
@@ -165,26 +155,39 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
     else:
         return f"unknown certificate kind {cert.kind!r}"
 
-    issue = _check_partition(g, [grp for _, grp in named])
-    if issue:
-        return issue
-    for name, grp in named:
-        bad = _first_pair(g, grp, grp, adjacent=False)
-        if bad:
-            return f"{name} is not a clique: {bad[0]} and {bad[1]} are non-adjacent"
-    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        return None
+    # One pass over the groups in their order builds the group masks and
+    # checks that they partition the vertex set.
+    masks, seen = [], 0
+    for _, grp in named:
+        before = seen
+        for v in grp:
+            if not (0 <= v < g.n):
+                return f"vertex {v} out of range"
+            if seen >> v & 1:
+                return f"vertex {v} appears in two groups"
+            seen |= 1 << v
+        masks.append(seen ^ before)
+    if seen != g.full_mask:
+        return f"vertex {(~seen & seen + 1).bit_length() - 1} is not covered"
 
-    # (group, group, must be complete): hub to every cycle group, consecutive
-    # cycle groups, then cycle groups two apart, which must span no edge.
-    relations = [(0, i, True) for i in range(1, 6)]
-    relations += [(i, i % 5 + 1, True) for i in range(1, 6)]
-    relations += [(i, (i + 1) % 5 + 1, False) for i in range(1, 6)]
+    # (group, group, must be complete): each group with itself, then the hub to
+    # every cycle group, consecutive cycle groups, and cycle groups two apart,
+    # which must span no edge. The pair named is the least u, then the least v.
+    relations = [(a, a, True) for a in range(len(named))]
+    if cert.kind == KIND_W5_SUBSTITUTION:
+        relations += [(0, i, True) for i in range(1, 6)]
+        relations += [(i, i % 5 + 1, True) for i in range(1, 6)]
+        relations += [(i, (i + 1) % 5 + 1, False) for i in range(1, 6)]
     for a, b, complete in relations:
-        bad = _first_pair(g, named[a][1], named[b][1], adjacent=not complete)
-        if bad:
-            state = "non-adjacent" if complete else "adjacent"
-            return f"{named[a][0]} vertex {bad[0]} is {state} to {named[b][0]} vertex {bad[1]}"
+        for u in _bit_indices(masks[a]):
+            closed = g.adj[u] | 1 << u
+            hits = masks[b] & ~closed if complete else masks[b] & closed
+            if hits:
+                v = (hits & -hits).bit_length() - 1
+                if a == b:
+                    return f"{named[a][0]} is not a clique: {u} and {v} are non-adjacent"
+                state = "non-adjacent" if complete else "adjacent"
+                return f"{named[a][0]} vertex {u} is {state} to {named[b][0]} vertex {v}"
     return None
 
 
@@ -192,33 +195,15 @@ def verify_certificate(g: Graph, cert: StructureCertificate) -> bool:
     return find_certificate_violation(g, cert) is None
 
 
-def _check_partition(g: Graph, groups: list) -> Optional[str]:
-    seen = 0
-    for grp in groups:
-        for v in grp:
-            if not (0 <= v < g.n):
-                return f"vertex {v} out of range"
-            if seen & (1 << v):
-                return f"vertex {v} appears in two groups"
-            seen |= 1 << v
-    if seen != g.full_mask:
-        missing = next(v for v in range(g.n) if not (seen & (1 << v)))
-        return f"vertex {missing} is not covered"
-    return None
-
-
-def _first_pair(g: Graph, a, b, adjacent: bool) -> Optional[tuple[int, int]]:
-    # First pair (u, v) in ascending order, u in a, v in b, u != v, whose
-    # adjacency in g equals `adjacent`. Called with a == b and adjacent
-    # False it finds the first non-adjacent pair inside one group: the
-    # smallest member with a non-neighbor in the group comes first, and
-    # that non-neighbor cannot lie below it.
-    b_mask = _mask_of(b)
-    for u in sorted(a):
-        hits = b_mask & (g.adj[u] if adjacent else ~g.adj[u]) & ~(1 << u)
-        if hits:
-            return (u, (hits & -hits).bit_length() - 1)
-    return None
+def _best_clique(cert: StructureCertificate) -> VertexSet:
+    # The first largest of the two parts, or of the five cliques hub + group
+    # i + group i+1. Read off without a check: callers check the certificate.
+    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
+        return max(cert.parts, key=len)
+    hub = _mask_of(cert.hub)
+    rim = [_mask_of(q) for q in cert.cycle_groups]
+    cliques = [hub | rim[i] | rim[(i + 1) % 5] for i in range(5)]
+    return _to_vertexset(max(cliques, key=int.bit_count))
 
 
 def clique_from_certificate(g: Graph, cert: StructureCertificate) -> VertexSet:
@@ -232,22 +217,7 @@ def clique_from_certificate(g: Graph, cert: StructureCertificate) -> VertexSet:
     failure = find_certificate_violation(g, cert)
     if failure is not None:
         raise GraphInputError(f"invalid structure certificate: {failure}")
-    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        assert cert.parts is not None
-        p1, p2 = cert.parts
-        best = p1 if len(p1) >= len(p2) else p2
-    else:
-        assert cert.hub is not None and cert.cycle_groups is not None
-        best = None
-        for i in range(5):
-            candidate = tuple(
-                sorted(
-                    {*cert.hub, *cert.cycle_groups[i], *cert.cycle_groups[(i + 1) % 5]}
-                )
-            )
-            if best is None or len(candidate) > len(best):
-                best = candidate
-        assert best is not None
+    best = _best_clique(cert)
     if not is_clique(g, best):  # pragma: no cover - implied by verification
         raise InvariantViolation(f"certificate clique {best} is not a clique")
     return best

@@ -46,7 +46,7 @@ from .graph import (
     is_clique,
     max_clique_exact,
 )
-from .structure import alpha2_decompose, clique_from_certificate, verify_certificate
+from .structure import _best_clique, alpha2_decompose, verify_certificate
 
 # Suites that test every extracted clique against the exact clique number.
 OMEGA_CHECKED = ("cycle-powers", "bounds-general", "bounds-triple", "large-alpha")
@@ -360,7 +360,7 @@ def _run_structure(config: SuiteConfig, report: Report) -> None:
     for idx, (params, g) in enumerate(_structure_instances(config)):
         cert = alpha2_decompose(g)
         valid = verify_certificate(g, cert)
-        clique = clique_from_certificate(g, cert)
+        clique = _best_clique(cert)
         floor = math.ceil(Fraction(2 * g.n, 5))
         ok = valid and is_clique(g, clique) and len(clique) >= floor
         if params["kind"] == "w5":

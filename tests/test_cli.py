@@ -241,6 +241,35 @@ class TestClique:
         assert payload["method"] == "large-alpha"
         assert payload["witness"]["epsilon"] == "1/4"
 
+    @pytest.mark.parametrize(
+        "method", [(), ("--method", "auto"), ("--method", "regular"), ("--method", "general"),
+                   ("--method", "triple")],
+    )
+    def test_independent_set_outside_large_alpha_is_usage_error(self, capsys, tmp_path, method):
+        # Refused rather than ignored, before any vertex of the set is read.
+        f = tmp_path / "p5.txt"
+        f.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+        argv = ("clique", "extract", str(f), *method, "--independent-set", "0,99")
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: --independent-set applies to the large-alpha method only\n"
+        )
+
+    def test_auto_on_a_regular_graph_refuses_independent_set(self, capsys, tmp_path):
+        f = tmp_path / "cp.txt"
+        f.write_text(serialize_graph(cycle_power(2)))
+        code, out, err = run_cli(capsys, "clique", "extract", str(f), "--independent-set", "0,3")
+        assert (code, out) == (2, "")
+        assert err == "error: --independent-set applies to the large-alpha method only\n"
+
+    def test_dirac_takes_independent_set(self, capsys, tmp_path):
+        f = tmp_path / "c5.txt"
+        f.write_text(serialize_graph(cycle(5)))
+        code, out, _ = run_cli(
+            capsys, "clique", "extract", str(f), "--dirac", "--independent-set", "0,2"
+        )
+        assert code == 0
+        assert json.loads(out)["witness"]["independent_set"] == [0, 2]
+
     @pytest.mark.parametrize("eps", ["1e-9999", "9e9999", "-1e-1001", "1/" + "7" * 1001])
     @pytest.mark.parametrize("method", [("--method", "large-alpha"), ("--dirac",)])
     def test_epsilon_too_long_to_print_is_usage_error(self, capsys, tmp_path, eps, method):

@@ -191,6 +191,14 @@ class TestW5Blowup:
         with pytest.raises(GraphInputError):
             w5_blowup([1, 1, 1])
 
+    def test_base_is_built_once_and_keeps_its_verdict(self):
+        # Hub 0 sees the rim; rim vertex i sees i % 5 + 1 and (i - 2) % 5 + 1.
+        rim = [1 | 1 << i % 5 + 1 | 1 << (i - 2) % 5 + 1 for i in range(1, 6)]
+        assert w5_base().adj == (0b111110, *rim)
+        assert w5_base() is w5_base()
+        w5_blowup([1, 2, 1, 2, 1, 2])
+        assert w5_base().__dict__["_witness"] is None
+
     @settings(max_examples=50, deadline=None)
     @given(
         sizes=st.tuples(

@@ -19,13 +19,22 @@ from c4free import (
     is_c4_free,
     is_clique,
     max_independent_set_exact,
+    structure,
     verify_certificate,
     w5_base,
     w5_blowup,
 )
-from c4free.structure import KIND_COMPLEMENT_BIPARTITE, KIND_W5_SUBSTITUTION
-from c4free.suites import SuiteConfig, _structure_instances
-from helpers import cycle, path
+from c4free.generators import _co_bipartite_c4free
+from c4free.structure import KIND_COMPLEMENT_BIPARTITE, KIND_W5_SUBSTITUTION, _best_clique
+from c4free.suites import SuiteConfig, _structure_instances, run_suite
+from helpers import (
+    cycle,
+    path,
+    reference_alpha2_decompose,
+    reference_clique_from_certificate,
+    reference_find_certificate_violation,
+    relabelled_w5_blowup,
+)
 
 
 class TestAlpha2Decompose:
@@ -195,3 +204,100 @@ class TestViolationMessages:
         assert find_certificate_violation(two_triangles, cert) == (
             "part 2 is not a clique: 2 and 3 are non-adjacent"
         )
+
+
+@st.composite
+def alpha2_graphs(draw):
+    """A relabelled 5-wheel blow-up or a co-bipartite C4-free graph, n <= 40."""
+    if draw(st.booleans()):
+        rim = draw(st.lists(st.integers(1, 6), min_size=5, max_size=5))
+        return relabelled_w5_blowup([draw(st.integers(0, 10)), *rim], draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 40))
+    side_mask = draw(st.integers(0, (1 << n) - 1))
+    return _co_bipartite_c4free(n, side_mask, draw(st.integers(0, 2**64 - 1)))
+
+
+def _groups(cert):
+    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
+        return [list(part) for part in cert.parts]
+    return [list(cert.hub)] + [list(q) for q in cert.cycle_groups]
+
+
+def _with_groups(cert, groups):
+    groups = [tuple(grp) for grp in groups]
+    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
+        return StructureCertificate(kind=cert.kind, parts=tuple(groups))
+    return StructureCertificate(kind=cert.kind, hub=groups[0], cycle_groups=tuple(groups[1:]))
+
+
+def _outcome(read, g, cert):
+    try:
+        return read(g, cert)
+    except GraphInputError as exc:
+        return str(exc)
+
+
+@st.composite
+def tampered(draw, g, cert):
+    """cert with one change: a vertex moved, repeated or dropped, a group
+    emptied, -1 or n added, two groups swapped, or the hub swapped with a
+    group."""
+    groups = _groups(cert)
+    slots = range(len(groups))
+    filled = [i for i in slots if groups[i]]
+    change = draw(st.sampled_from(["move", "repeat", "drop", "empty", "outside", "swap", "hub"]))
+    if change in ("move", "repeat", "drop") and filled:
+        i = draw(st.sampled_from(filled))
+        v = groups[i][draw(st.integers(0, len(groups[i]) - 1))]
+        if change != "repeat":
+            groups[i].remove(v)
+        if change != "drop":
+            j = draw(st.sampled_from([j for j in slots if change == "repeat" or j != i]))
+            groups[j].insert(draw(st.integers(0, len(groups[j]))), v)
+    elif change == "empty":
+        groups[draw(st.sampled_from(slots))] = []
+    elif change == "outside":
+        j = draw(st.sampled_from(slots))
+        groups[j].insert(draw(st.integers(0, len(groups[j]))), draw(st.sampled_from([-1, g.n])))
+    elif change == "swap" or (change == "hub" and len(groups) == 6):
+        i = 0 if change == "hub" else draw(st.sampled_from(slots))
+        j = draw(st.sampled_from([j for j in slots if j != i]))
+        groups[i], groups[j] = groups[j], groups[i]
+    return _with_groups(cert, groups)
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(g=alpha2_graphs())
+    def test_same_certificate_and_clique(self, g):
+        cert = alpha2_decompose(g)
+        assert cert.to_json_dict() == reference_alpha2_decompose(g).to_json_dict()
+        clique = reference_clique_from_certificate(g, cert)
+        assert clique_from_certificate(g, cert) == clique
+        assert _best_clique(cert) == clique
+        assert find_certificate_violation(g, cert) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), g=alpha2_graphs())
+    def test_same_message_on_one_change(self, data, g):
+        cert = data.draw(tampered(g, alpha2_decompose(g)))
+        message = reference_find_certificate_violation(g, cert)
+        assert find_certificate_violation(g, cert) == message
+        assert _outcome(clique_from_certificate, g, cert) == (
+            _outcome(reference_clique_from_certificate, g, cert)
+        )
+
+
+def test_one_check_per_consumer(monkeypatch):
+    # alpha2_decompose checks its W5 output and the suite checks every
+    # certificate once; the clique is read off without a further check.
+    calls = []
+    check = structure.find_certificate_violation
+    monkeypatch.setattr(
+        structure, "find_certificate_violation", lambda g, cert: calls.append(cert) or check(g, cert)
+    )
+    report = run_suite(SuiteConfig(suite="structure", seed=1, samples=20, max_n=30))
+    assert report.all_passed()
+    w5 = sum(record["method"] == KIND_W5_SUBSTITUTION for record in report.records)
+    assert 0 < w5 < len(report.records) == 20
+    assert len(calls) == 2 * w5 + (len(report.records) - w5)
