@@ -12,7 +12,6 @@ from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from .graph import (
-    FoundC4,
     Graph,
     GraphInputError,
     InvariantViolation,
@@ -197,10 +196,12 @@ def random_c4free(
     pair-scan detector finds an induced cycle (a, b, c, d) the edge
     (a, b) is deleted. Edge count strictly decreases per repair step, so
     the loop terminates; the bias of the repaired distribution is not
-    quantified. After a deletion the scan resumes at row min(a, b, x),
-    x the least vertex of N(a) ∩ N(b) with a non-neighbour above it in
-    that set: only {a, b} and the non-adjacent pairs inside N(a) ∩ N(b)
-    can turn bad, so the deletions are those of a scan restarted at row 0.
+    quantified. The scan deletes in its frame and goes on in row a, with
+    (a, c) and (a, b) pending again; it resumes lower only at x, the least
+    vertex of N(a) ∩ N(b) below a with a non-neighbour above it there. Only
+    {a, b} and the non-adjacent pairs inside N(a) ∩ N(b) can turn bad, so
+    the deletions are those of a scan restarted at row 0. Sparse rows drop
+    pairs with under two common neighbours by a two-hop filter first.
 
     With skip_isolated, a sample with an isolated vertex is not repaired and
     None is returned. A deletion keeps a and b adjacent to d and c, so
@@ -271,23 +272,14 @@ def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
 
 
 def _repair(adj: list[int], n: int) -> Graph:
-    # _delete_edge returns the first row its deletion can have made bad. The
-    # loop ends only on a clean scan from row 0, so no output rests on that
-    # bound alone, and the graph carries that scan's verdict.
-    start = 0
-    while (witness := _scan_induced_c4(adj, n, start)) is not None:
-        start = _delete_edge(adj, witness)
-    if start and (witness := _scan_induced_c4(adj, n)) is not None:
+    # The scan deletes inside its frame and returns a row only when a deletion
+    # can have spoiled a lower one. Whenever an edge went, the loop ends on a
+    # clean scan from row 0, so no output rests on that bound alone, and the
+    # graph carries that scan's verdict.
+    sampled = list(adj)
+    start: Optional[int] = 0
+    while start is not None:
+        start = _scan_induced_c4(adj, n, start, repair=True)
+    if adj != sampled and (witness := _scan_induced_c4(adj, n)) is not None:
         raise InvariantViolation(f"repair resumed past the induced 4-cycle {witness.vertices}")
     return _graph_of(adj, c4free=True)
-
-
-def _delete_edge(adj: list[int], witness: FoundC4) -> int:
-    a, b = witness.a, witness.b
-    adj[a] &= ~(1 << b)
-    adj[b] &= ~(1 << a)
-    common = adj[a] & adj[b]
-    for x in _bit_indices(common & ((1 << min(a, b)) - 1)):
-        if common & ~adj[x] & -1 << x + 1:
-            return x
-    return min(a, b)

@@ -237,8 +237,13 @@ def _grown(adj: Sequence[int], clique: int, grow: int) -> int:
 
 
 def _scan_induced_c4(
-    adj: Sequence[int], n: int, start: int = 0, verts: int = -1, budget: Optional[int] = None
-) -> Optional[FoundC4]:
+    adj: Sequence[int],
+    n: int,
+    start: int = 0,
+    verts: int = -1,
+    budget: Optional[int] = None,
+    repair: bool = False,
+) -> Union[FoundC4, int, None]:
     # For each non-adjacent pair (u, v) of verts, u >= start, in
     # lexicographic order, look for a non-adjacent pair (p, q) of verts
     # inside N(u) ∩ N(v); first hit wins.
@@ -246,11 +251,24 @@ def _scan_induced_c4(
     # ascending order, to a maximal clique inside N(u) and kept for the row.
     # A later common neighbourhood inside a kept clique holds no non-adjacent
     # pair, so skipping it leaves the first witness unchanged.
+    # A row with fewer than a quarter as many neighbours as pending pairs
+    # first keeps only the v with two neighbours in the row, counted by
+    # bit-sliced ORs over its members' rows: the others fail the next test.
     # Given a budget, block tables are built at the first row whose earlier
     # rows hold that many pairs, and from there each clique settles its pairs
     # in bulk: C grows at once to K = C ∪ (row ∩ ⋂_{p∈C} N(p)) when that is a
     # clique, and every pending v with no neighbour in row \ K is dropped, as
-    # N(u) ∩ N(v) ⊆ K. No budget, no tables: repair changes adj between scans.
+    # N(u) ∩ N(v) ⊆ K. No budget, no tables: repair changes adj as it goes.
+    # With repair, a witness (u, p, v, q) is fixed, not returned: the edge up
+    # is deleted and row u goes on with v and p pending again. Pending pairs
+    # are taken lowest first and the pairs already passed only lost common
+    # neighbours, so the deletions are those of a scan restarted from row 0.
+    # The rows below u are clean, so p and q lie above u: a lower one of them
+    # would give a witness in its own row. Besides {u, p} only the
+    # non-adjacent pairs inside N(u) ∩ N(p) can turn bad; when one has its
+    # lower member below u, the least such member is returned as the row to
+    # resume at. A kept clique stays a clique and p is in no later common
+    # neighbourhood, so the kept cliques stand. Returns None at the end.
     full = verts & (1 << n) - 1
     tables = None
     for u in _bit_indices(full & -1 << start):
@@ -260,6 +278,12 @@ def _scan_induced_c4(
             if budget <= 0:
                 size, ors, ands = tables = _block_tables(adj, n)
             budget -= nonadj.bit_count()
+        if 4 * row.bit_count() < nonadj.bit_count():
+            once = twice = 0
+            for w in _bit_indices(row):
+                twice |= once & adj[w]
+                once |= adj[w]
+            nonadj &= twice
         cliques: list[int] = []
         while nonadj:
             low = nonadj & -nonadj
@@ -290,12 +314,22 @@ def _scan_induced_c4(
                     p = bit.bit_length() - 1
                     grow &= adj[p]
                     if not rest:
+                        cliques.append(_grown(adj, common, grow))
                         break
                     cand = rest & ~adj[p]
-                    if cand:
-                        q = (cand & -cand).bit_length() - 1
-                        return FoundC4(u, p, v, q)
-                cliques.append(_grown(adj, common, grow))
+                    if not cand:
+                        continue
+                    if not repair:
+                        return FoundC4(u, p, v, (cand & -cand).bit_length() - 1)
+                    adj[u] ^= bit
+                    adj[p] ^= 1 << u
+                    row ^= bit
+                    shared = row & adj[p]
+                    for x in _bit_indices(shared & (1 << u) - 1):
+                        if shared & ~adj[x] & -1 << x + 1:
+                            return x
+                    nonadj |= low | bit
+                    break
     return None
 
 

@@ -143,7 +143,7 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
     produced.
     """
     if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        if cert.parts is None:
+        if cert.parts is None or len(cert.parts) != 2:
             return "complement-bipartite certificate is missing its parts"
         p1, p2 = cert.parts
         named = [("part 1", p1), ("part 2", p2)]

@@ -277,6 +277,94 @@ def _add_chord(adj: list[int], witness: FoundC4) -> int:
     return min(a, (diff & -diff).bit_length() - 1) if diff else a
 
 
+def restart_repair(
+    adj: Sequence[int], n: int, chord: bool
+) -> tuple[tuple[int, ...], list[FoundC4]]:
+    """Reference repair: rescan from row 0 after every fix; the graph and the witnesses.
+
+    A deletion toggles off the edge (a, b) of the witness, a chord toggles
+    on the missing pair (a, c).
+    """
+    adj = list(adj)
+    fixes = []
+    while (witness := reference_scan(adj, n)) is not None:
+        fixes.append(witness)
+        x, y = (witness.a, witness.c) if chord else (witness.a, witness.b)
+        adj[x] ^= 1 << y
+        adj[y] ^= 1 << x
+    return tuple(adj), fixes
+
+
+# Verbatim copy of the deletion repair of ``generators.random_c4free`` that
+# the in-frame deletion of ``graph._scan_induced_c4`` replaced: one scan per
+# deletion, resumed at the first row the deletion can have made bad.
+
+
+def reference_repair(adj: list[int], n: int) -> Graph:
+    # _delete_edge returns the first row its deletion can have made bad. The
+    # loop ends only on a clean scan from row 0, so no output rests on that
+    # bound alone, and the graph carries that scan's verdict.
+    start = 0
+    while (witness := _scan_induced_c4(adj, n, start)) is not None:
+        start = _delete_edge(adj, witness)
+    if start and (witness := _scan_induced_c4(adj, n)) is not None:
+        raise InvariantViolation(f"repair resumed past the induced 4-cycle {witness.vertices}")
+    return _graph_of(adj, c4free=True)
+
+
+def _delete_edge(adj: list[int], witness: FoundC4) -> int:
+    a, b = witness.a, witness.b
+    adj[a] &= ~(1 << b)
+    adj[b] &= ~(1 << a)
+    common = adj[a] & adj[b]
+    for x in _bit_indices(common & ((1 << min(a, b)) - 1)):
+        if common & ~adj[x] & -1 << x + 1:
+            return x
+    return min(a, b)
+
+
+def skipping_scan(real_scan: Callable) -> Callable:
+    """A stand-in for the scan whose repair mode goes wrong on purpose.
+
+    It makes the first deletion, then names a resume row past the end, as a
+    resume rule that skips rows would; other calls go to real_scan.
+    """
+
+    def scan(adj, n, start=0, verts=-1, budget=None, repair=False):
+        witness = real_scan(adj, n, start, verts, budget)
+        if not repair or witness is None:
+            return witness
+        _delete_edge(adj, witness)
+        return n
+
+    return scan
+
+
+class LoggedRows(list):
+    """Adjacency rows that log every write, so a repair's deletions can be read back.
+
+    Each write is kept as (row, bits cleared) and must only clear bits. A
+    deletion of the edge (a, b) writes row a, then row b.
+    """
+
+    def __init__(self, rows: Iterable[int]) -> None:
+        super().__init__(rows)
+        self.writes: list[tuple[int, int]] = []
+
+    def __setitem__(self, index, value):
+        old = self[index]
+        assert value & ~old == 0, f"row {index} gained {value & ~old:#x}"
+        self.writes.append((index, old ^ value))
+        super().__setitem__(index, value)
+
+    def deletions(self) -> list[tuple[int, int]]:
+        pairs = list(zip(self.writes[::2], self.writes[1::2]))
+        assert len(pairs) * 2 == len(self.writes)
+        for (a, cleared_a), (b, cleared_b) in pairs:
+            assert (cleared_a, cleared_b) == (1 << b, 1 << a)
+        return [(a, b) for (a, _), (b, _) in pairs]
+
+
 # Verbatim copies of the per-source BFS odd-cycle search, the queue BFS
 # 2-colouring, the sequential greedy coloring and the recursive branch and bound, with its opening
 # existence search, that the bit-parallel code in ``graph.py`` replaced.

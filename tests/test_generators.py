@@ -30,6 +30,7 @@ from c4free.generators import (
     _sample_edge_masks,
 )
 from c4free.graph import FoundC4
+from c4free.suites import SuiteConfig, run_suite
 from helpers import (
     ReferenceSplitMix64,
     c4free_graphs,
@@ -41,6 +42,7 @@ from helpers import (
     reference_co_bipartite_sample,
     reference_sample_edge_masks,
     reference_scan,
+    restart_repair,
 )
 
 
@@ -270,55 +272,77 @@ class TestRandomC4Free:
         assert skipped == (None if full.min_degree() < 1 else full)
 
 
-def _restart_repair(adj, n, chord):
-    """Reference repair: rescan from row 0 after every fix.
-
-    A deletion toggles off the edge (a, b) of the witness, a chord toggles
-    on the missing pair (a, c).
-    """
-    adj = list(adj)
-    fixes = []
-    while (witness := reference_scan(adj, n)) is not None:
-        fixes.append(witness)
-        x, y = (witness.a, witness.c) if chord else (witness.a, witness.b)
-        adj[x] ^= 1 << y
-        adj[y] ^= 1 << x
-    return tuple(adj), fixes
-
-
 def _recorded(make):
-    """Run random_c4free; return its graph, its sampled adjacency and its deletions."""
-    real_repair, real_delete = generators._repair, generators._delete_edge
-    seen = {"fixes": []}
+    """Run make(); return its graph, the sampled adjacency and the deletions.
 
-    def recording_repair(adj, n):
-        seen["sampled"] = list(adj)
-        return real_repair(adj, n)
+    The repair works on the list that _sample_edge_masks returns, so that
+    list is swapped for one that logs its writes.
+    """
+    real_sample = generators._sample_edge_masks
+    seen = {}
 
-    def recording_delete(adj, witness):
-        seen["fixes"].append(witness)
-        return real_delete(adj, witness)
+    def logged_sample(n, p, seed):
+        seen["rows"] = helpers.LoggedRows(real_sample(n, p, seed))
+        seen["sampled"] = list(seen["rows"])
+        return seen["rows"]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(generators, "_repair", recording_repair)
-        mp.setattr(generators, "_delete_edge", recording_delete)
+        mp.setattr(generators, "_sample_edge_masks", logged_sample)
         g = make()
-    return g, seen["sampled"], seen["fixes"]
+    return g, seen["sampled"], seen["rows"].deletions()
 
 
 class TestResumedRepair:
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(min_value=0, max_value=24),
-        k=st.integers(min_value=0, max_value=10),
+        p=st.one_of(
+            st.integers(min_value=0, max_value=10).map(lambda k: Fraction(k, 10)),
+            st.fractions(min_value=0, max_value=1, max_denominator=1000),
+        ),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
-    def test_deletions_match_restarting_reference(self, n, k, seed):
-        g, sampled, fixes = _recorded(lambda: random_c4free(n, Fraction(k, 10), seed))
-        adj, ref_fixes = _restart_repair(sampled, n, chord=False)
-        assert fixes == ref_fixes
+    def test_deletions_match_restarting_reference(self, n, p, seed):
+        g, sampled, deleted = _recorded(lambda: random_c4free(n, p, seed))
+        adj, ref_fixes = restart_repair(sampled, n, chord=False)
+        assert deleted == [(witness.a, witness.b) for witness in ref_fixes]
         assert g.adj == adj
         assert g.edge_count == sum(row.bit_count() for row in adj) // 2
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(9, 10)], ids=["half", "nine-tenths"])
+    def test_deletions_match_resumed_reference_at_larger_n(self, n, p):
+        # Restarting from row 0 after each of the 16,283 deletions at n = 200,
+        # p = 9/10 takes over a minute, so these sizes are held against the
+        # resumed reference, which the test above ties to the restart.
+        g, sampled, deleted = _recorded(lambda: random_c4free(n, p, n))
+        rows = helpers.LoggedRows(sampled)
+        expected = helpers.reference_repair(rows, n)
+        assert len(deleted) > n
+        assert deleted == rows.deletions()
+        assert g.adj == expected.adj
+
+    def test_out_of_frame_resumes_are_taken(self, monkeypatch):
+        # The suite config pinned as bounds-general-120 in the golden tests
+        # makes deletions whose resume row lies below the witness row, so the
+        # path out of the scan's frame is exercised there.
+        real_scan = generators._scan_induced_c4
+        resumes = []
+
+        def spy(adj, n, start=0, verts=-1, budget=None, repair=False):
+            row = real_scan(adj, n, start, verts, budget, repair)
+            if repair and row is not None:
+                resumes.append((row, adj.deletions()[-1][0]))
+            return row
+
+        real_sample = generators._sample_edge_masks
+        monkeypatch.setattr(generators, "_sample_edge_masks",
+                            lambda n, p, seed: helpers.LoggedRows(real_sample(n, p, seed)))
+        monkeypatch.setattr(generators, "_scan_induced_c4", spy)
+        report = run_suite(SuiteConfig(suite="bounds-general", seed=3, samples=20, max_n=120))
+        assert report.all_passed()
+        assert resumes
+        assert all(row < witness_row for row, witness_row in resumes)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -331,7 +355,7 @@ class TestResumedRepair:
         # mask bits at or above n are ignored.
         g = _co_bipartite_c4free(n, side_mask, seed)
         sampled = reference_co_bipartite_sample(n, side_mask, seed)
-        adj = _restart_repair(sampled, n, chord=True)[0]
+        adj = restart_repair(sampled, n, chord=True)[0]
         assert g.adj == adj
         assert g.edge_count == sum(row.bit_count() for row in adj) // 2
 
@@ -347,7 +371,7 @@ class TestResumedRepair:
         # of an arbitrary sampled graph, chords included (by the resumed
         # reference in helpers).
         adj = _sample_edge_masks(n, Fraction(k, 10), seed)
-        fix = helpers._add_chord if chord else generators._delete_edge
+        fix = helpers._add_chord if chord else helpers._delete_edge
         while (witness := reference_scan(adj, n)) is not None:
             start = fix(adj, witness)
             after = reference_scan(adj, n)
@@ -362,34 +386,37 @@ class TestResumedRepair:
     def test_chords_never_spoil_a_lower_row(self, n, side_mask, seed):
         # What lets the row kernel visit each row once: in a co-bipartite
         # graph, the restarting repair's chord rows never go down.
-        _, fixes = _restart_repair(reference_co_bipartite_sample(n, side_mask, seed), n, chord=True)
+        _, fixes = restart_repair(reference_co_bipartite_sample(n, side_mask, seed), n, chord=True)
         rows = [witness.a for witness in fixes]
         assert rows == sorted(rows)
 
     @pytest.mark.parametrize(
-        "fix_name, make, chord",
+        "seam, make, chord",
         [
-            ("_delete_edge", lambda: random_c4free(16, Fraction(1, 2), 1), False),
+            pytest.param("_scan_induced_c4", lambda: random_c4free(16, Fraction(1, 2), 1), False,
+                         id="_scan_induced_c4"),
             ("_add_chord", lambda: reference_co_bipartite_c4free(16, 0x00FF, 1), True),
         ],
     )
-    def test_wrong_resume_row_is_caught(self, monkeypatch, fix_name, make, chord):
-        # The chord case guards the resumed loop that the row kernel is
-        # checked against; the kernel's own guard is its final scan
-        # (TestCoBipartiteKernel).
+    def test_wrong_resume_row_is_caught(self, monkeypatch, seam, make, chord):
+        # A scan that deletes one edge and then names a resume row past the
+        # end must be caught by the final clean scan. The chord case guards
+        # the resumed loop that the row kernel is checked against; the
+        # kernel's own guard is its final scan (TestCoBipartiteKernel).
         if chord:
             sampled = reference_co_bipartite_sample(16, 0x00FF, 1)
         else:
             _, sampled, _ = _recorded(make)
-        assert len(_restart_repair(sampled, 16, chord)[1]) >= 2
+        assert len(restart_repair(sampled, 16, chord)[1]) >= 2
         module = helpers if chord else generators
-        real_fix = getattr(module, fix_name)
-
-        def skip_to_end(adj, witness):
-            real_fix(adj, witness)
-            return len(adj)
-
-        monkeypatch.setattr(module, fix_name, skip_to_end)
+        real = getattr(module, seam)
+        if chord:
+            def stand_in(adj, witness):
+                real(adj, witness)
+                return len(adj)
+        else:
+            stand_in = helpers.skipping_scan(real)
+        monkeypatch.setattr(module, seam, stand_in)
         with pytest.raises(InvariantViolation):
             make()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from c4free import (
     w5_blowup,
 )
 from c4free import graph as graph_module
+from c4free.generators import _sample_edge_masks
 from c4free.graph import (
     InvariantViolation,
     _has_triangle,
@@ -214,6 +216,23 @@ class TestFindInducedC4:
     def test_scan_matches_reference_at_every_start_row(self, g):
         for start in range(g.n + 1):
             assert _scan_induced_c4(g.adj, g.n, start) == reference_scan(g.adj, g.n, start)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=4, max_value=40),
+        degree=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        data=st.data(),
+    )
+    def test_two_hop_filter_matches_reference_at_every_start_row(self, n, degree, seed, data):
+        # At average degree 1 to 6 most rows have fewer than a quarter as
+        # many neighbours as pending pairs, so they go through the filter.
+        # Under a verts mask the reference scans the induced subgraph.
+        adj = _sample_edge_masks(n, Fraction(min(degree, n - 1), n - 1), seed)
+        verts = data.draw(st.one_of(st.just(-1), st.integers(min_value=0, max_value=2**n - 1)))
+        induced = [row & verts if verts >> v & 1 else 0 for v, row in enumerate(adj)]
+        for start in range(n + 1):
+            assert _scan_induced_c4(adj, n, start, verts) == reference_scan(induced, n, start)
 
     @settings(max_examples=200, deadline=None)
     @given(

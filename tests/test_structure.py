@@ -113,6 +113,20 @@ class TestVerifyCertificate:
         violation = find_certificate_violation(path(4), cert)
         assert violation == "vertex 1 appears in two groups"
 
+    @pytest.mark.parametrize(
+        "parts", [((0, 1, 2, 3),), ((0, 1), (2,), (3,)), ()], ids=["one", "three", "none"]
+    )
+    def test_other_than_two_parts_is_refused(self, parts):
+        # Refused with the message of a certificate without parts, not by a
+        # failed unpacking.
+        message = "complement-bipartite certificate is missing its parts"
+        cert = StructureCertificate(kind=KIND_COMPLEMENT_BIPARTITE, parts=parts)
+        assert find_certificate_violation(path(4), cert) == message
+        assert not verify_certificate(path(4), cert)
+        with pytest.raises(GraphInputError) as exc:
+            clique_from_certificate(path(4), cert)
+        assert str(exc.value) == f"invalid structure certificate: {message}"
+
 
 class TestCliqueFromCertificate:
     def test_p4(self):

@@ -31,12 +31,15 @@ from c4free.cli import main
 from c4free.generators import _sample_edge_masks
 from c4free.graph import _graph_of, require_c4free
 from helpers import (
+    LoggedRows,
     cycle,
     house,
     reference_independent_set_of_size,
     reference_max_clique,
     reference_scan,
     relabelled,
+    restart_repair,
+    skipping_scan,
     substituted,
     twin_rich_graphs,
 )
@@ -88,18 +91,14 @@ class TestPinnedWitnesses:
                          (2, 3, 6, 4), (3, 6, 4, 8)], 32),
         ],
     )
-    def test_repair_fixes(self, monkeypatch, case, fixes, edge_count):
+    def test_repair_fixes(self, case, fixes, edge_count):
+        # The pinned witnesses are those of the restarting reference; the
+        # repair deletes the edge (a, b) of each, in order, inside its scan.
         g = pinned_graph(case)
-        seen = []
-        real_delete = generators._delete_edge
-
-        def recording_fix(adj, witness):
-            seen.append(tuple(witness))
-            return real_delete(adj, witness)
-
-        monkeypatch.setattr(generators, "_delete_edge", recording_fix)
-        out = generators._repair(list(g.adj), g.n)
-        assert seen == fixes
+        assert [tuple(witness) for witness in restart_repair(g.adj, g.n, False)[1]] == fixes
+        rows = LoggedRows(g.adj)
+        out = generators._repair(rows, g.n)
+        assert rows.deletions() == [(a, b) for a, b, _, _ in fixes]
         assert out.edge_count == edge_count
         assert find_induced_c4(out) is None
 
@@ -111,14 +110,11 @@ class TestPinnedWitnesses:
         ],
     )
     def test_repair_resume_message(self, monkeypatch, case, message):
+        # A scan that names a resume row past the end after its first
+        # deletion is caught by the final clean scan, which names its witness.
         g = pinned_graph(case)
-        real_delete = generators._delete_edge
-
-        def skip_to_end(adj, witness):
-            real_delete(adj, witness)
-            return len(adj)
-
-        monkeypatch.setattr(generators, "_delete_edge", skip_to_end)
+        scan = skipping_scan(generators._scan_induced_c4)
+        monkeypatch.setattr(generators, "_scan_induced_c4", scan)
         with pytest.raises(InvariantViolation) as exc:
             generators._repair(list(g.adj), g.n)
         assert str(exc.value) == message
