@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -191,6 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # A parser keeps no state between parse_args calls, so each process builds
+    # one; this saves the rebuild only for callers that run main more than once.
+    return build_parser()
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     # The vertex count follows from the arguments, so an oversized graph is
     # refused before it is built and scanned.
@@ -310,8 +318,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # Seeds are taken mod 2**64 below, so two spellings of one stream are refused.
         if not 0 <= getattr(args, "seed", 0) < 1 << 64:

@@ -534,18 +534,19 @@ def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
 
 def _bfs(g: Graph, source: int) -> list[int]:
     # BFS tree from source, neighbours in ascending order: parent of every
-    # vertex reached (the source is its own parent), -1 elsewhere.
+    # vertex reached (the source is its own parent), -1 elsewhere. Each
+    # dequeued vertex adopts its unseen neighbours in one mask, so the loop
+    # steps once per vertex, not once per edge.
     parent = [-1] * g.n
     parent[source] = source
     queue = [source]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in _bit_indices(g.adj[u]):
-            if parent[v] < 0:
-                parent[v] = u
-                queue.append(v)
+    seen = 1 << source
+    for u in queue:
+        fresh = g.adj[u] & ~seen
+        seen |= fresh
+        for v in _bit_indices(fresh):
+            parent[v] = u
+            queue.append(v)
     return parent
 
 

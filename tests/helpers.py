@@ -120,6 +120,36 @@ def reference_scan(adj: Sequence[int], n: int, start: int = 0) -> Optional[Found
     return None
 
 
+# Verbatim copies of the BFS tree of ``graph._bfs`` and the row writer of
+# ``edgelist._edge_lines``, which stepped once per edge where the code that
+# replaced them steps once per vertex.
+
+
+def reference_bfs(g: Graph, source: int) -> list[int]:
+    # BFS tree from source, neighbours in ascending order: parent of every
+    # vertex reached (the source is its own parent), -1 elsewhere.
+    parent = [-1] * g.n
+    parent[source] = source
+    queue = [source]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v in _bit_indices(g.adj[u]):
+            if parent[v] < 0:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def reference_edge_lines(g: Graph) -> Iterator[str]:
+    # The header, then the edges of each row with an edge to a later vertex.
+    yield f"{g.n} {g.edge_count}\n"
+    for u, row in enumerate(g.adj):
+        if row >> u + 1:
+            yield f"{u} " + f"\n{u} ".join(map(str, _bit_indices(row & _above(u)))) + "\n"
+
+
 # Verbatim copy of the line-by-line edge-list parser that the bulk path in
 # ``edgelist.py`` sits in front of.
 
@@ -916,6 +946,25 @@ def raw_graphs(draw, max_n: int = 10):
     else:
         edges = []
     return build_graph(n, edges)
+
+
+@st.composite
+def component_graphs(draw, max_n: int = 40):
+    """Relabelled graphs of up to four random parts, with isolated vertices.
+
+    The edge probability is 0 or 1 often enough that empty and complete
+    graphs occur.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    parts = draw(st.integers(min_value=1, max_value=4))
+    isolated = draw(st.integers(min_value=0, max_value=n))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0, max_value=1)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [
+        (perm[u], perm[v]) for u, v in itertools.combinations(range(n - isolated), 2)
+        if u % parts == v % parts and rng.random() < p
+    ])
 
 
 @st.composite

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4free import build_graph, cycle_power, parse_graph, serialize_graph
+from c4free import cli
 from c4free.cli import main
 from c4free.suites import SUITE_NAMES
 from helpers import complete, cycle, edges, path, relabelled_w5_blowup
@@ -380,6 +382,69 @@ class TestAlpha2Bytes:
         self.assert_stdout(
             capsys, ("clique", "exact", w5_file), {"clique": self.CLIQUE, "size": 11}
         )
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of one main() call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    def test_kept_parser_answers_as_a_fresh_one(self, monkeypatch, tmp_path):
+        # One process builds one parser; every call after the first reuses it,
+        # an argparse refusal and --version included, and must print and exit
+        # as a parser built for that call would.
+        c5 = tmp_path / "c5.txt"
+        c5.write_text("5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+        f = str(c5)
+        c4 = tmp_path / "c4.txt"
+        c4.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+        verify = ["verify", "--suite", "cycle-powers", "--samples", "1", "--max-n", "9"]
+        argvs = [
+            ["frobnicate"],
+            ["--version"],
+            ["gen", "cycle-power", "--k", "2"],
+            ["gen", "cycle-power", "--k", "2", "-o", "-"],
+            ["gen", "w5", "--sizes", "1,1,0,1,1,1"],
+            ["gen", "w5", "--sizes", "1,1,0,1,1,1", "-o", "-"],
+            ["gen", "substitute", "--base", f, "--sizes", "2,1,1,1,1"],
+            ["gen", "substitute", "--base", f, "--sizes", "2,1,1,1,1", "-o", "-"],
+            ["gen", "random", "--n", "9", "--p", "1/2", "--seed", "3"],
+            ["gen", "random", "--n", "9", "--p", "1/2", "--seed", "3", "-o", "-"],
+            ["gen", "random", "--n", "x", "--p", "1/2", "--seed", "3"],
+            ["check", "c4free", f],
+            ["check", "c4free", str(c4)],
+            ["clique", "exact", f],
+            ["clique", "exact", f, "--oracle-limit", "4"],
+            ["clique", "extract", f],
+            ["clique", "extract", f, "--method", "general", "--epsilon", "1/3",
+             "--exact-alpha", "--oracle-limit", "48"],
+            ["clique", "extract", f, "--method", "large-alpha", "--independent-set", "0,2"],
+            ["clique", "extract", f, "--dirac"],
+            ["structure", f],
+            verify,
+            verify + ["--seed", "2", "--oracle-limit", "48", "--epsilon", "1/3", "--json", "-"],
+        ]
+        cli._parser.cache_clear()
+        kept = [_outcome(argv) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [_outcome(argv) for argv in argvs]
+        assert kept == fresh
+        assert kept[0][0] == 2 and "invalid choice: 'frobnicate'" in kept[0][2]
+        assert kept[1] == (0, f"c4free {cli.__version__}\n", "")
+        assert sorted({code for code, _, _ in kept}) == [0, 1, 2]
+
+    def test_build_parser_stays_a_plain_function(self):
+        # Span tracing wraps the public functions of each layer it finds
+        # with inspect.isfunction.
+        assert inspect.isfunction(cli.build_parser)
 
 
 class TestVerify:

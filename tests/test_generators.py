@@ -13,6 +13,7 @@ import helpers
 from c4free import (
     GraphInputError,
     InvariantViolation,
+    build_graph,
     clique_substitution,
     cycle_power,
     find_induced_c4,
@@ -71,6 +72,72 @@ class TestCyclePower:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_clique_number_is_k_plus_one(self, k):
         assert len(max_clique_exact(cycle_power(k))) == k + 1
+
+    def test_rows_and_cached_verdict(self):
+        # The rows follow the circular-distance definition, and the row-0
+        # guard leaves its clean verdict on the graph.
+        for k in range(1, 61):
+            n = 4 * k + 1
+            g = cycle_power(k)
+            assert g == build_graph(n, [
+                (i, j) for i, j in itertools.combinations(range(n), 2) if min(j - i, n - j + i) <= k
+            ])
+            assert "_witness" in vars(g) and vars(g)["_witness"] is None
+
+
+def circulant(n: int, jumps) -> list[int]:
+    """Rows of the circulant on n vertices joining i to i + j and i - j for each jump."""
+    row = 0
+    for j in jumps:
+        row |= 1 << j % n | 1 << -j % n
+    return [(row << i | row >> n - i) & (1 << n) - 1 for i in range(n)]
+
+
+def guard_message(rows) -> str | None:
+    try:
+        generators._require_circulant_c4free(rows)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+class TestCirculantGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=2, max_value=40).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(min_value=1, max_value=n // 2)))
+    ))
+    def test_raises_exactly_when_the_full_scan_finds_a_witness(self, case):
+        # The full scan's first witness lies in row 0, so the guard names it.
+        n, jumps = case
+        rows = circulant(n, jumps)
+        witness = reference_scan(rows, n)
+        expected = None if witness is None else f"circulant contains an induced 4-cycle {tuple(witness)}"
+        assert guard_message(rows) == expected
+
+    @pytest.mark.parametrize("n, jumps, witness", [
+        (4, [1], (0, 1, 2, 3)),
+        (8, [1, 3], (0, 1, 2, 3)),
+        (12, [1, 2, 5], (0, 1, 3, 5)),
+        (13, [1, 5], (0, 5, 4, 12)),
+        (17, [2, 3, 7], (0, 3, 1, 15)),
+    ])
+    def test_circulant_with_an_induced_c4(self, n, jumps, witness):
+        assert guard_message(circulant(n, jumps)) == f"circulant contains an induced 4-cycle {witness}"
+
+    @pytest.mark.parametrize("k, flips, first", [
+        (5, [(7, 9), (9, 7)], 7),
+        (5, [(19, 20), (20, 19)], 19),
+        (2, [(0, 4), (4, 0)], 1),
+        (1, [(2, 4), (4, 2)], 2),
+        (3, [(12, 3)], 12),
+    ])
+    def test_one_row_out_of_rotation(self, k, flips, first):
+        rows = list(cycle_power(k).adj)
+        for row, bit in flips:
+            rows[row] ^= 1 << bit
+        assert guard_message(rows) == (
+            f"row {first} of a circulant is not row {first - 1} rotated by one"
+        )
 
 
 class TestCliqueSubstitution:

@@ -30,6 +30,7 @@ from c4free import graph as graph_module
 from c4free.generators import _sample_edge_masks
 from c4free.graph import (
     InvariantViolation,
+    _bfs,
     _has_triangle,
     _lex_clique,
     _scan_induced_c4,
@@ -40,12 +41,14 @@ from helpers import (
     brute_omega,
     c4free_graphs,
     complete,
+    component_graphs,
     cycle,
     edgeless,
     edges,
     house,
     path,
     raw_graphs,
+    reference_bfs,
     reference_bipartition,
     reference_classify_set,
     reference_clique_search,
@@ -54,6 +57,7 @@ from helpers import (
     reference_max_clique,
     reference_scan,
     reference_shortest_odd_cycle,
+    relabelled,
     relabelled_w5_blowup,
 )
 
@@ -571,6 +575,26 @@ class TestAgainstReferences:
         got = _shortest_odd_cycle(g)
         assert len(calls) == 1
         assert got == reference_shortest_odd_cycle(g)
+
+
+class TestBfsTree:
+    # The tree is built one mask per dequeued vertex; the per-edge loop it
+    # replaced must give the same parents, so the same odd-cycle witness.
+
+    @settings(max_examples=200, deadline=None)
+    @given(component_graphs(max_n=40))
+    def test_parents_match_reference_from_every_source(self, g):
+        for s in range(g.n):
+            assert _bfs(g, s) == reference_bfs(g, s)
+
+    @pytest.mark.parametrize("g", [
+        edgeless(7), complete(9), build_graph(6, [(0, 1), (2, 3), (3, 4)]),
+        relabelled(cycle_power(60), 1), relabelled_w5_blowup((30,) * 6, 1),
+    ], ids=["edgeless", "complete", "disconnected", "cycle-power-60", "w5-180"])
+    def test_fixed_graphs_and_complements(self, g):
+        for h in (g, complement(g)):
+            for s in range(h.n):
+                assert _bfs(h, s) == reference_bfs(h, s)
 
 
 class TestComplement:
