@@ -17,7 +17,6 @@ from .graph import (
     InvariantViolation,
     _bit_indices,
     _graph_of,
-    _grown,
     _scan_induced_c4,
     find_induced_c4,
     require_c4free,
@@ -123,26 +122,14 @@ def _require_circulant_c4free(rows: Sequence[int]) -> None:
     # Each row must be the one before it rotated by one place. Rotation is
     # then an automorphism, which carries any induced 4-cycle onto one
     # through vertex 0, and row 0 of the pair scan meets that cycle at the
-    # vertex opposite 0. So row 0, scanned in the same order with kept
-    # cliques, finds what the full scan finds.
+    # vertex opposite 0. So row 0 of the scan finds what the full scan finds.
     n = len(rows)
     full = (1 << n) - 1
     for i in range(1, n):
         if rows[i] != (rows[i - 1] << 1 | rows[i - 1] >> n - 1) & full:
             raise InvariantViolation(f"row {i} of a circulant is not row {i - 1} rotated by one")
-    row = rows[0]
-    cliques: list[int] = []
-    for v in _bit_indices(full & ~row & -2):
-        common = row & rows[v]
-        if any(not common & ~clique for clique in cliques):
-            continue
-        grow = row
-        for p in _bit_indices(common):
-            if cand := common & ~rows[p] & -2 << p:
-                q = (cand & -cand).bit_length() - 1
-                raise InvariantViolation(f"circulant contains an induced 4-cycle {(0, p, v, q)}")
-            grow &= rows[p]
-        cliques.append(_grown(rows, common, grow))
+    if (witness := _scan_induced_c4(rows, n, u_mask=1)) is not None:
+        raise InvariantViolation(f"circulant contains an induced 4-cycle {tuple(witness)}")
 
 
 def clique_substitution(base: Graph, sizes: Sequence[int]) -> Graph:

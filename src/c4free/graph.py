@@ -243,9 +243,10 @@ def _scan_induced_c4(
     verts: int = -1,
     budget: Optional[int] = None,
     repair: bool = False,
+    u_mask: int = -1,
 ) -> Union[FoundC4, int, None]:
-    # For each non-adjacent pair (u, v) of verts, u >= start, in
-    # lexicographic order, look for a non-adjacent pair (p, q) of verts
+    # For each non-adjacent pair (u, v) of verts, u >= start and u in u_mask,
+    # in lexicographic order, look for a non-adjacent pair (p, q) of verts
     # inside N(u) ∩ N(v); first hit wins.
     # Each common neighbourhood found to be a clique is grown greedily, in
     # ascending order, to a maximal clique inside N(u) and kept for the row.
@@ -271,7 +272,7 @@ def _scan_induced_c4(
     # neighbourhood, so the kept cliques stand. Returns None at the end.
     full = verts & (1 << n) - 1
     tables = None
-    for u in _bit_indices(full & -1 << start):
+    for u in _bit_indices(full & u_mask & -1 << start):
         row = adj[u] & full
         nonadj = full & ~row & (-1 << (u + 1))
         if budget is not None and tables is None:
