@@ -248,8 +248,8 @@ def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
     h[p] but not in h[x]. Each row, in order, takes the chord of its lowest
     bad pair while it has one, as a scan from row 0 would. The chord grows
     D by h[w] only, so I is kept, and it never spoils a lower row (README),
-    so no row is visited twice. H ends a chain graph (no induced 2K2); one
-    clean scan from row 0 checks the result.
+    so no row is visited twice. H ends a chain graph (no induced 2K2); the
+    graph's own verdict, one scan of its class minima, checks the result.
     """
     full = (1 << n) - 1
     sides = (full & ~side_mask, full & side_mask)
@@ -276,10 +276,10 @@ def _co_bipartite_c4free(n: int, side_mask: int, seed: int) -> Graph:
                     grow ^= low
                     inter &= h[low.bit_length() - 1]
             h[x] = hx
-    adj = [full ^ 1 << u ^ hu for u, hu in enumerate(h)]
-    if (witness := _scan_induced_c4(adj, n)) is not None:
+    g = _graph_of([full ^ 1 << u ^ hu for u, hu in enumerate(h)])
+    if (witness := g._witness) is not None:
         raise InvariantViolation(f"chord repair left the induced 4-cycle {witness.vertices}")
-    return _graph_of(adj, c4free=True)
+    return g
 
 
 def _repair(adj: list[int], n: int) -> Graph:

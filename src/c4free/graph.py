@@ -372,7 +372,12 @@ def require_c4free(g: Graph) -> None:
 
 
 def complement(g: Graph) -> Graph:
-    return _graph_of([g.full_mask & ~row & ~(1 << v) for v, row in enumerate(g.adj)])
+    return _graph_of(_co_rows(g, g.full_mask))
+
+
+def _co_rows(g: Graph, verts: int) -> list[int]:
+    # Rows of the complement of the subgraph that verts induces; 0 off verts.
+    return [verts & ~row ^ 1 << v if verts >> v & 1 else 0 for v, row in enumerate(g.adj)]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +478,12 @@ def _reps(g: Graph) -> int:
     return g.full_mask if twins is None else twins[0]
 
 
+def _classes_of(g: Graph, reps: int) -> int:
+    # The union of the true-twin classes of the vertices in reps.
+    twins = g._twins
+    return reps if twins is None else sum(map(twins[1].__getitem__, _bit_indices(reps)))
+
+
 def _check_limit(g: Graph, limit: int) -> None:
     if g.n > limit:
         raise OracleLimitError(f"oracle limit: n={g.n} exceeds limit {limit}")
@@ -496,7 +507,7 @@ def max_clique_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
         return _to_vertexset(_lex_clique(g.adj, g.full_mask, g.n, [1] * g.n))
     reps, classes = twins
     mask = _lex_clique(g.adj, reps, g.n, [members.bit_count() for members in classes])
-    return _to_vertexset(sum(classes[v] for v in _bit_indices(mask)))
+    return _to_vertexset(_classes_of(g, mask))
 
 
 def max_independent_set_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
@@ -509,7 +520,8 @@ def max_independent_set_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> Ve
     one, the least.
     """
     _check_limit(g, limit)
-    reps, co, ones = _reps(g), complement(g).adj, [1] * g.n
+    reps, ones = _reps(g), [1] * g.n
+    co = _co_rows(g, reps)
     flipped = [_reversed(row, g.n) for row in reversed(co)]
     alpha = _lex_clique(flipped, _reversed(reps, g.n), g.n, ones).bit_count()
     return _to_vertexset(_lex_clique(co, reps, alpha, ones, alpha - 1))
@@ -524,7 +536,8 @@ def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
     """
     if t < 1:
         raise GraphInputError(f"size must be at least 1, got {t}")
-    mask = _lex_clique(complement(g).adj, _reps(g), t, [1] * g.n)
+    reps = _reps(g)
+    mask = _lex_clique(_co_rows(g, reps), reps, t, [1] * g.n)
     return _to_vertexset(mask) if mask.bit_count() == t else None
 
 
@@ -572,27 +585,27 @@ def _least_odd_walk(adj: tuple[int, ...], s: int, limit: int) -> Optional[tuple[
     return None
 
 
-def _has_triangle(adj: tuple[int, ...]) -> bool:
-    return any(
-        adj[u] & adj[v] for u in range(len(adj)) for v in _bit_indices(adj[u] & _above(u))
-    )
+def _has_triangle(adj: Sequence[int], verts: int = -1) -> bool:
+    us = _bit_indices(verts & (1 << len(adj)) - 1)
+    return any(adj[u] & adj[v] for u in us for v in _bit_indices(adj[u] & _above(u)))
 
 
-def _shortest_odd_cycle(g: Graph) -> VertexSet:
+def _shortest_odd_cycle(g: Graph, verts: int = -1) -> VertexSet:
     # Minimum over sources s and edges (u, v) with dist_s(u) = dist_s(v) of
     # the closed walk length 2*dist+1; the minimum odd closed walk is a
     # simple chordless cycle. First achiever in (s, u, v) scan order wins:
     # a later source replaces it only with a strictly shorter walk. The
     # search ends at length 3, or at 5 when the graph has no triangle.
+    # Sources are the vertices of verts, whose rows must stay inside it.
     best: Optional[tuple[int, int, int]] = None
     limit = 2 * g.n
-    for s in range(g.n):
+    for s in _bit_indices(verts & g.full_mask):
         found = _least_odd_walk(g.adj, s, limit)
         if found is None:
             continue
         limit, u, v = found
         best = (s, u, v)
-        if limit == 3 or (limit == 5 and not _has_triangle(g.adj)):
+        if limit == 3 or (limit == 5 and not _has_triangle(g.adj, verts)):
             break
     if best is None:
         raise InvariantViolation("odd cycle requested in a bipartite graph")
@@ -631,8 +644,15 @@ def bipartition(g: Graph) -> Union[tuple[VertexSet, VertexSet], OddCycle]:
     inside a layer closes an odd walk; the witness is then the shortest
     odd cycle, which is always induced.
     """
+    result = _bipartition(g, g.full_mask)
+    return result if isinstance(result, OddCycle) else tuple(map(_to_vertexset, result))
+
+
+def _bipartition(g: Graph, verts: int) -> Union[tuple[int, int], OddCycle]:
+    # bipartition on the vertices of verts, whose rows must stay inside it,
+    # with the parts as masks.
     sides = [0, 0]
-    rest = g.full_mask
+    rest = verts
     while rest:
         layer = rest & -rest
         parity = 0
@@ -641,9 +661,9 @@ def bipartition(g: Graph) -> Union[tuple[VertexSet, VertexSet], OddCycle]:
             reach = 0
             for u in _bit_indices(layer):
                 if g.adj[u] & layer:
-                    return OddCycle(_shortest_odd_cycle(g))
+                    return OddCycle(_shortest_odd_cycle(g, verts))
                 reach |= g.adj[u]
             sides[parity] |= layer
             layer = reach & rest
             parity ^= 1
-    return _to_vertexset(sides[0]), _to_vertexset(sides[1])
+    return sides[0], sides[1]

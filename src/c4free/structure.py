@@ -18,11 +18,14 @@ from .graph import (
     InvariantViolation,
     OddCycle,
     VertexSet,
+    _bipartition,
     _bit_indices,
+    _classes_of,
+    _co_rows,
+    _graph_of,
     _mask_of,
+    _reps,
     _to_vertexset,
-    bipartition,
-    complement,
     is_clique,
     require_c4free,
 )
@@ -84,11 +87,16 @@ def alpha2_decompose(g: Graph) -> StructureCertificate:
     to exactly three consecutive ones along the 5-cycle those vertices
     induce in g (the matching cycle group). Any vertex or group pair
     that does not fit raises HypothesisViolation with a witness.
+
+    Each step runs on the true-twin class minima, and its result is
+    expanded to whole classes (README).
     """
     require_c4free(g)
-    result = bipartition(complement(g))
+    reps = _reps(g)
+    result = _bipartition(_graph_of(_co_rows(g, reps)), reps)
     if not isinstance(result, OddCycle):
-        return StructureCertificate(kind=KIND_COMPLEMENT_BIPARTITE, parts=result)
+        parts = tuple(_to_vertexset(_classes_of(g, side)) for side in result)
+        return StructureCertificate(kind=KIND_COMPLEMENT_BIPARTITE, parts=parts)
 
     cyc = result.vertices
     if len(cyc) == 3:
@@ -108,7 +116,7 @@ def alpha2_decompose(g: Graph) -> StructureCertificate:
     patterns = [on_cycle]
     patterns += [rim_masks[i - 1] | rim_masks[i] | rim_masks[(i + 1) % 5] for i in range(5)]
     groups = [0] + rim_masks
-    for w in _bit_indices(g.full_mask ^ on_cycle):
+    for w in _bit_indices(reps ^ on_cycle):
         pattern = g.adj[w] & on_cycle
         if pattern not in patterns:
             raise HypothesisViolation(
@@ -117,6 +125,7 @@ def alpha2_decompose(g: Graph) -> StructureCertificate:
                 witness=w,
             )
         groups[patterns.index(pattern)] |= 1 << w
+    groups = [_classes_of(g, grp) for grp in groups]
 
     # Canonical labeling: group 1 holds the smallest cycle vertex, and the
     # orientation makes group 2's smallest member minimal.
@@ -173,13 +182,19 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
     # (group, group, must be complete): each group with itself, then the hub to
     # every cycle group, consecutive cycle groups, and cycle groups two apart,
     # which must span no edge. The pair named is the least u, then the least v.
+    # True twins have one closed row, so only the least member of each class
+    # in a group is tested, even where a group splits a class.
     relations = [(a, a, True) for a in range(len(named))]
     if cert.kind == KIND_W5_SUBSTITUTION:
         relations += [(0, i, True) for i in range(1, 6)]
         relations += [(i, i % 5 + 1, True) for i in range(1, 6)]
         relations += [(i, (i + 1) % 5 + 1, False) for i in range(1, 6)]
+    twins = g._twins
     for a, b, complete in relations:
-        for u in _bit_indices(masks[a]):
+        rest = masks[a]
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= ~twins[1][u] if twins else rest - 1
             closed = g.adj[u] | 1 << u
             hits = masks[b] & ~closed if complete else masks[b] & closed
             if hits:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import c4free.generators as generators
+import c4free.graph as graph_module
 import helpers
 from c4free import (
     GraphInputError,
@@ -505,7 +506,8 @@ class TestCoBipartiteKernel:
         assert _co_bipartite_c4free(n, side_mask, seed).adj == expected.adj
 
     def test_final_scan_catches_a_bad_result(self, monkeypatch):
-        monkeypatch.setattr(generators, "_scan_induced_c4", lambda adj, n: FoundC4(0, 1, 2, 3))
+        # The check is the graph's own verdict, a scan of its class minima.
+        monkeypatch.setattr(graph_module, "_scan_induced_c4", lambda *args: FoundC4(0, 1, 2, 3))
         with pytest.raises(InvariantViolation, match=r"left the induced 4-cycle \(0, 1, 2, 3\)"):
             _co_bipartite_c4free(8, 0x0F, 1)
 

@@ -31,8 +31,12 @@ from c4free.generators import _sample_edge_masks
 from c4free.graph import (
     InvariantViolation,
     _bfs,
+    _bipartition,
+    _co_rows,
+    _graph_of,
     _has_triangle,
     _lex_clique,
+    _mask_of,
     _scan_induced_c4,
     _shortest_odd_cycle,
 )
@@ -615,6 +619,37 @@ class TestComplement:
     @given(raw_graphs(max_n=12))
     def test_involution(self, g):
         assert complement(complement(g)) == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_graphs(max_n=12), st.data())
+    def test_rows_of_a_mask_are_the_induced_complement(self, g, data):
+        # Rows off the mask are 0; rows on it are the complement's, cut to it.
+        mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        full = complement(g).adj
+        expected = [full[v] & mask if mask >> v & 1 else 0 for v in range(g.n)]
+        assert _co_rows(g, mask) == expected
+
+
+class TestMaskedBipartition:
+    """The bipartition core and odd-cycle search on the subgraph a mask induces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_graphs(max_n=14), st.booleans(), st.data())
+    def test_matches_the_whole_graph_of_the_induced_rows(self, g, flip, data):
+        # With the rows cut to the mask, the vertices off it are isolated:
+        # the whole-graph bipartition puts them in part one and finds the
+        # same odd cycle, since no walk starts or passes there.
+        g = complement(g) if flip else g
+        mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        h = _graph_of([row & mask if mask >> v & 1 else 0 for v, row in enumerate(g.adj)])
+        got, whole = _bipartition(h, mask), bipartition(h)
+        if isinstance(whole, OddCycle):
+            assert got == whole
+            assert _shortest_odd_cycle(h, mask) == whole.vertices
+            assert _has_triangle(h.adj, mask) == _has_triangle(h.adj)
+        else:
+            assert [_mask_of(part) & mask for part in whole] == list(got)
+            assert got[0] | got[1] == mask and not got[0] & got[1]
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c4free import (
@@ -14,6 +14,7 @@ from c4free import (
     alpha2_decompose,
     build_graph,
     clique_from_certificate,
+    complement,
     cycle_power,
     find_certificate_violation,
     is_c4_free,
@@ -24,16 +25,23 @@ from c4free import (
     w5_base,
     w5_blowup,
 )
+from c4free import graph as graph_module
 from c4free.generators import _co_bipartite_c4free
+from c4free.graph import _graph_of
 from c4free.structure import KIND_COMPLEMENT_BIPARTITE, KIND_W5_SUBSTITUTION, _best_clique
 from c4free.suites import SuiteConfig, _structure_instances, run_suite
 from helpers import (
+    c4free_graphs,
     cycle,
+    edges,
     path,
+    raw_graphs,
     reference_alpha2_decompose,
     reference_clique_from_certificate,
     reference_find_certificate_violation,
+    relabelled,
     relabelled_w5_blowup,
+    substituted,
 )
 
 
@@ -315,3 +323,149 @@ def test_one_check_per_consumer(monkeypatch):
     w5 = sum(record["method"] == KIND_W5_SUBSTITUTION for record in report.records)
     assert 0 < w5 < len(report.records) == 20
     assert len(calls) == 2 * w5 + (len(report.records) - w5)
+
+
+# The decomposition and the certificate check run on true-twin class minima
+# and expand to whole classes; the references run vertex by vertex.
+
+
+def _decomposition(decompose, g):
+    # The certificate, or the message and witness of the refusal.
+    try:
+        return decompose(g).to_json_dict()
+    except HypothesisViolation as exc:
+        return str(exc), exc.witness
+
+
+@st.composite
+def substitutions(draw, bases, least: int = 0):
+    """A clique substitution into a drawn base, relabelled at random."""
+    base = draw(bases)
+    sizes = draw(st.lists(st.integers(least, 3), min_size=base.n, max_size=base.n))
+    g = substituted(base, sizes)
+    perm = draw(st.permutations(range(g.n)))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
+
+
+# How a vertex off the 5-cycle 0-1-2-3-4 may meet it: all of it, three
+# consecutive vertices, or any subset.
+RIM_PATTERNS = st.one_of(
+    st.sampled_from([0b11111] + [sum(1 << (i + d) % 5 for d in (-1, 0, 1)) for i in range(5)]),
+    st.integers(0, 0b11111),
+)
+
+
+@st.composite
+def wheel_like_bases(draw):
+    """A 5-cycle and up to three more vertices, joined to each other at random."""
+    extra = draw(st.integers(1, 3))
+    pairs = [(i, (i + 1) % 5) for i in range(5)]
+    for w in range(5, 5 + extra):
+        pattern = draw(RIM_PATTERNS)
+        pairs += [(v, w) for v in range(5) if pattern >> v & 1]
+        pairs += [(v, w) for v in range(5, w) if draw(st.booleans())]
+    return build_graph(5 + extra, pairs)
+
+
+def _marked_clean(g):
+    # The same rows with the recognition verdict set to clean. Only inputs
+    # that hold an induced 4-cycle reach an unclassifiable vertex, a failed
+    # group check or a complement odd cycle longer than 5, so the C4 check
+    # has to be passed over to compare those refusals.
+    return _graph_of(g.adj, c4free=True)
+
+
+# A 5-cycle and a vertex 5 that meets four of its vertices; a 5-cycle and two
+# non-adjacent vertices that meet all of it, so the hub is not a clique.
+WHEEL_AND_FOUR = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                 (5, 0), (5, 1), (5, 2), (5, 3)])
+HUB_PAIR = build_graph(7, [(i, (i + 1) % 5) for i in range(5)] + [
+    (v, w) for v in range(5) for w in (5, 6)
+])
+
+
+class TestOnTwinClasses:
+    @settings(max_examples=200, deadline=None)
+    @given(g=substitutions(st.one_of(
+        c4free_graphs(max_n=9), st.sampled_from([cycle(7), cycle_power(2), path(5)])
+    )))
+    def test_c4free_inputs_match_reference(self, g):
+        # Small C4-free bases mostly have independence number 3 or more.
+        assert _decomposition(alpha2_decompose, g) == (
+            _decomposition(reference_alpha2_decompose, g)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.one_of(substitutions(wheel_like_bases(), 1), substitutions(raw_graphs(max_n=8))))
+    @example(g=WHEEL_AND_FOUR)
+    @example(g=HUB_PAIR)
+    @example(g=complement(cycle(7)))
+    def test_refusals_past_the_c4_check_match_reference(self, g):
+        g = _marked_clean(g)
+        assert _decomposition(alpha2_decompose, g) == (
+            _decomposition(reference_alpha2_decompose, g)
+        )
+
+    def test_unclassifiable_twin_class(self):
+        # The class {3, 6, 7} fails, and its least vertex is the one named.
+        g = _marked_clean(relabelled(substituted(WHEEL_AND_FOUR, (1, 1, 1, 1, 1, 3)), 0))
+        assert g._twins[1][3] == 0b11001000
+        message = ("vertex 3 is adjacent to neither all of (0, 2, 5, 1, 4) nor "
+                   "exactly three consecutive of them")
+        for decompose in (alpha2_decompose, reference_alpha2_decompose):
+            assert _decomposition(decompose, g) == (message, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), g=alpha2_graphs())
+    def test_one_vertex_moved_out_of_its_class(self, data, g):
+        cert = alpha2_decompose(g)
+        groups = _groups(cert)
+        twins = g._twins
+        split = [v for v in range(g.n) if twins and twins[1][v] & (twins[1][v] - 1)]
+        if not split:
+            return
+        v = data.draw(st.sampled_from(split))
+        i = next(i for i, grp in enumerate(groups) if v in grp)
+        groups[i].remove(v)
+        j = data.draw(st.sampled_from([j for j in range(len(groups)) if j != i]))
+        groups[j].insert(data.draw(st.integers(0, len(groups[j]))), v)
+        moved = _with_groups(cert, groups)
+        assert find_certificate_violation(g, moved) == (
+            reference_find_certificate_violation(g, moved)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), g=alpha2_graphs())
+    def test_groups_drawn_at_random(self, data, g):
+        # Every vertex in a random group: most classes are split.
+        cert = alpha2_decompose(g)
+        groups = [[] for _ in _groups(cert)]
+        for v in data.draw(st.permutations(range(g.n))):
+            groups[data.draw(st.integers(0, len(groups) - 1))].append(v)
+        drawn = _with_groups(cert, groups)
+        assert find_certificate_violation(g, drawn) == (
+            reference_find_certificate_violation(g, drawn)
+        )
+
+    def test_work_on_class_minima(self, monkeypatch):
+        # The colouring runs on the 6 class minima of an n = 180 blow-up, whose
+        # classes and verdict are computed once; a co-bipartite instance comes
+        # with both from its generator's final check.
+        core, seen = structure._bipartition, []
+        monkeypatch.setattr(
+            structure, "_bipartition", lambda h, verts: seen.append((h, verts)) or core(h, verts)
+        )
+        g = relabelled_w5_blowup((30,) * 6, 1)
+        expected = reference_alpha2_decompose(g).to_json_dict()
+        h = _co_bipartite_c4free(40, 0x5555555555, 3)
+        assert "_twins" in h.__dict__ and h.__dict__["_witness"] is None
+
+        def no_scan(*args):
+            raise AssertionError("the verdict was computed again")
+
+        monkeypatch.setattr(graph_module, "_scan_induced_c4", no_scan)
+        assert alpha2_decompose(g).to_json_dict() == expected
+        assert alpha2_decompose(h).to_json_dict() == reference_alpha2_decompose(h).to_json_dict()
+        (co, verts), _ = seen
+        assert verts.bit_count() == 6
+        assert [row for v, row in enumerate(co.adj) if not verts >> v & 1] == [0] * 174
