@@ -120,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a graph and print its edge list")
+    gen.set_defaults(run=_cmd_gen)
     gen_sub = gen.add_subparsers(dest="generator", required=True)
 
     p = gen_sub.add_parser("cycle-power", help="cycle on 4k+1 vertices with chords up to distance k")
@@ -143,11 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", metavar="FILE", default=None)
 
     check = sub.add_parser("check", help="recognition checks")
+    check.set_defaults(run=_cmd_check)
     check_sub = check.add_subparsers(dest="check_kind", required=True)
     p = check_sub.add_parser("c4free", help="report an induced 4-cycle or 'c4-free'")
     p.add_argument("file")
 
     clique = sub.add_parser("clique", help="clique oracles and extractors")
+    clique.set_defaults(run=_cmd_clique)
     clique_sub = clique.add_subparsers(dest="clique_kind", required=True)
 
     p = clique_sub.add_parser("exact", help="exact maximum clique (small graphs)")
@@ -179,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure", help="decompose a C4-free graph with independence number <= 2")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_structure)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
@@ -188,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT)
     p.add_argument("--epsilon", default="1/2")
     p.add_argument("--json", metavar="FILE", default=None)
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -305,10 +310,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.json not in (None, "-"):
             sink = stack.enter_context(open(args.json, "a", encoding="utf-8"))
         report = run_suite(config)
-        print(f"{report.suite}: {report.passed}/{len(report.records)} pass")
+        # A report on stdout is the whole of stdout, so that it parses as JSON.
+        summary = sys.stderr if args.json == "-" else sys.stdout
+        print(f"{report.suite}: {report.passed}/{len(report.records)} pass", file=summary)
         for record in report.records:
             if not record["pass"]:
-                print(f"FAIL {record['id']}: repro: {record['repro']}")
+                print(f"FAIL {record['id']}: repro: {record['repro']}", file=summary)
         if args.json == "-":
             sys.stdout.write(report.to_json())
         elif args.json:
@@ -326,15 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in ("p", "epsilon"):
             if hasattr(args, name):
                 setattr(args, name, _rational(f"--{name}", getattr(args, name)))
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "clique":
-            return _cmd_clique(args)
-        if args.command == "structure":
-            return _cmd_structure(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

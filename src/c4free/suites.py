@@ -140,33 +140,9 @@ def _oracle_omega(g: Graph, limit: int) -> Optional[int]:
     return len(max_clique_exact(g, limit=limit))
 
 
-def _record(
-    record_id: str,
-    generator: dict,
-    *,
-    n: int,
-    min_degree: int,
-    method: str,
-    bound: str,
-    clique_size: int,
-    omega: Optional[int],
-    ok: bool,
-    witness_summary: dict,
-    repro: str,
-) -> dict:
+def _record(ok: bool, repro: str, **fields) -> dict:
     """One report record; the repro command is kept only when the check failed."""
-    record = {
-        "id": record_id,
-        "generator": generator,
-        "n": n,
-        "min_degree": min_degree,
-        "method": method,
-        "bound": bound,
-        "clique_size": clique_size,
-        "omega": omega,
-        "pass": bool(ok),
-        "witness_summary": witness_summary,
-    }
+    record = {**fields, "pass": bool(ok)}
     if not ok:
         record["repro"] = repro
     return record
@@ -194,9 +170,9 @@ def _add_certificate_record(
     omega_ok = omega is None or (cert.size == omega if sharp else cert.size <= omega)
     ok = bound_ok and check_certificate(g, cert) and omega_ok
     report.add(_record(
-        record_id, params, n=g.n, min_degree=g.min_degree(), method=cert.method,
-        bound=str(cert.guaranteed_bound), clique_size=cert.size, omega=omega, ok=ok,
-        witness_summary=witness_summary, repro=repro,
+        ok, repro, id=record_id, generator=params, n=g.n, min_degree=g.min_degree(),
+        method=cert.method, bound=str(cert.guaranteed_bound), clique_size=cert.size,
+        omega=omega, witness_summary=witness_summary,
     ))
 
 
@@ -368,10 +344,10 @@ def _run_structure(config: SuiteConfig, report: Report) -> None:
         else:
             repro = _rerun_repro(config, config.samples, config.max_n)
         report.add(_record(
-            f"structure-{idx:04d}", params, n=g.n, min_degree=g.min_degree(),
-            method=cert.kind, bound=str(Fraction(2 * g.n, 5)), clique_size=len(clique),
-            omega=_oracle_omega(g, config.oracle_limit), ok=ok,
-            witness_summary={"kind": cert.kind}, repro=repro,
+            ok, repro, id=f"structure-{idx:04d}", generator=params, n=g.n,
+            min_degree=g.min_degree(), method=cert.kind, bound=str(Fraction(2 * g.n, 5)),
+            clique_size=len(clique), omega=_oracle_omega(g, config.oracle_limit),
+            witness_summary={"kind": cert.kind},
         ))
 
 
@@ -394,10 +370,10 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
             if not _detectors_agree(g):
                 disagreements += 1
         report.add(_record(
-            f"checker-equiv-exhaustive-n{n}", {"kind": "exhaustive", "n": n},
+            disagreements == 0, _rerun_repro(config, 0, n),
+            id=f"checker-equiv-exhaustive-n{n}", generator={"kind": "exhaustive", "n": n},
             n=n, min_degree=0, method="detector-agreement", bound="0",
-            clique_size=0, omega=None, ok=disagreements == 0,
-            witness_summary={"graphs_checked": checked}, repro=_rerun_repro(config, 0, n),
+            clique_size=0, omega=None, witness_summary={"graphs_checked": checked},
         ))
 
     rng = SplitMix64(config.seed)
@@ -407,12 +383,11 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
         inst_seed = rng.next_u64()
         g = _graph_of(_sample_edge_masks(n, p, inst_seed))
         report.add(_record(
-            f"checker-equiv-random-{idx:04d}",
-            {"kind": "raw-random", "n": n, "p": str(p), "seed": inst_seed},
+            _detectors_agree(g), _rerun_repro(config, config.samples, config.max_n),
+            id=f"checker-equiv-random-{idx:04d}",
+            generator={"kind": "raw-random", "n": n, "p": str(p), "seed": inst_seed},
             n=n, min_degree=g.min_degree(), method="detector-agreement", bound="0",
-            clique_size=0, omega=None, ok=_detectors_agree(g),
-            witness_summary={"edges": g.edge_count},
-            repro=_rerun_repro(config, config.samples, config.max_n),
+            clique_size=0, omega=None, witness_summary={"edges": g.edge_count},
         ))
 
 

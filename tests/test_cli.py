@@ -461,6 +461,19 @@ class TestVerify:
         payload = json.loads(out_json.read_text())
         assert payload["failed"] == 0
 
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_json_to_stdout_is_the_whole_stdout(self, capsys, monkeypatch, failing):
+        if failing:
+            monkeypatch.setattr("c4free.suites.check_certificate", lambda *args: False)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "cycle-powers", "--max-n", "9", "--json", "-"
+        )
+        report = json.loads(out)
+        assert (code, report["failed"]) == ((1, 2) if failing else (0, 0))
+        failures = [f"FAIL {r['id']}: repro: {r['repro']}" for r in report["records"]
+                    if not r["pass"]]
+        assert err.splitlines() == [f"cycle-powers: {report['passed']}/2 pass", *failures]
+
     def test_json_report_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         for f in (f1, f2):

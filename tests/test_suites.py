@@ -9,6 +9,12 @@ from c4free import GraphInputError, Report, SuiteConfig, run_suite
 from c4free import suites
 from c4free.suites import OMEGA_CHECKED, SUITE_NAMES, _random_corpus
 from helpers import reference_random_corpus
+from test_golden_reports import GOLDEN_FAILING
+
+RECORD_KEYS = {
+    "id", "generator", "n", "min_degree", "method", "bound", "clique_size", "omega",
+    "pass", "witness_summary",
+}
 
 
 def _config(suite, **overrides):
@@ -149,3 +155,20 @@ class TestFailureRecords:
             report.add({"id": "r0", "pass": False})
         report.add({"id": "r1", "pass": False, "repro": "c4free --version"})
         assert report.failed == 1
+
+    # Every suite at samples 1 and max-n 5, the least a sampled suite accepts,
+    # and the failing structure report of the golden tests.
+    @pytest.mark.parametrize("suite, failing", [
+        *((suite, False) for suite in SUITE_NAMES), ("structure", True),
+    ])
+    def test_record_keys(self, suite, failing, monkeypatch):
+        config = SuiteConfig(suite=suite, seed=1, samples=1, max_n=5)
+        if failing:
+            name, result, samples, max_n, _ = GOLDEN_FAILING[suite]
+            monkeypatch.setattr(suites, name, lambda *args: result)
+            config = SuiteConfig(suite=suite, seed=1, samples=samples, max_n=max_n)
+        records = run_suite(config).records
+        assert records and all(record["pass"] != failing for record in records)
+        for record in records:
+            assert set(record) - {"repro"} == RECORD_KEYS
+            assert ("repro" in record) == (not record["pass"])
