@@ -90,19 +90,15 @@ class Graph:
     # immutable tuple, so they never go stale.
 
     @cached_property
-    def _twins(self) -> Optional[tuple[int, tuple[int, ...]]]:
+    def _twins(self) -> tuple[int, tuple[int, ...]]:
         # True-twin classes, the vertices with one closed neighbourhood: the
-        # mask of class minima and each vertex's class mask, or None when
-        # every class is a single vertex.
+        # mask of class minima and each vertex's class mask. A twin-free
+        # graph has n singleton classes and every vertex as a minimum.
         closed = [row | 1 << v for v, row in enumerate(self.adj)]
-        if len(set(closed)) == self.n:
-            return None
         classes: dict[int, int] = {}
         for v, key in enumerate(closed):
             classes[key] = classes.get(key, 0) | 1 << v
-        reps = 0
-        for members in classes.values():
-            reps |= members & -members
+        reps = sum(members & -members for members in classes.values())
         return reps, tuple(classes[key] for key in closed)
 
     @cached_property
@@ -112,7 +108,7 @@ class Graph:
         # meets earlier. So the scan of the minima alone finds it. The rows
         # never change, so the scan may build block tables once it has met
         # about as many pairs (2n) as building them costs.
-        return _scan_induced_c4(self.adj, self.n, 0, _reps(self), 2 * self.n)
+        return _scan_induced_c4(self.adj, self.n, 0, self._twins[0], 2 * self.n)
 
 
 def _graph_of(adj: Sequence[int], c4free: bool = False) -> Graph:
@@ -472,16 +468,9 @@ def _lex_clique(
             return best_mask
 
 
-def _reps(g: Graph) -> int:
-    # The true-twin class minima: every vertex of a twin-free graph.
-    twins = g._twins
-    return g.full_mask if twins is None else twins[0]
-
-
 def _classes_of(g: Graph, reps: int) -> int:
     # The union of the true-twin classes of the vertices in reps.
-    twins = g._twins
-    return reps if twins is None else sum(map(twins[1].__getitem__, _bit_indices(reps)))
+    return sum(map(g._twins[1].__getitem__, _bit_indices(reps)))
 
 
 def _check_limit(g: Graph, limit: int) -> None:
@@ -502,10 +491,7 @@ def max_clique_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> VertexSet:
     minima weighted by class size and expands the result to whole classes.
     """
     _check_limit(g, limit)
-    twins = g._twins
-    if twins is None:
-        return _to_vertexset(_lex_clique(g.adj, g.full_mask, g.n, [1] * g.n))
-    reps, classes = twins
+    reps, classes = g._twins
     mask = _lex_clique(g.adj, reps, g.n, [members.bit_count() for members in classes])
     return _to_vertexset(_classes_of(g, mask))
 
@@ -520,7 +506,7 @@ def max_independent_set_exact(g: Graph, limit: int = ORACLE_LIMIT_DEFAULT) -> Ve
     one, the least.
     """
     _check_limit(g, limit)
-    reps, ones = _reps(g), [1] * g.n
+    reps, ones = g._twins[0], [1] * g.n
     co = _co_rows(g, reps)
     flipped = [_reversed(row, g.n) for row in reversed(co)]
     alpha = _lex_clique(flipped, _reversed(reps, g.n), g.n, ones).bit_count()
@@ -536,7 +522,7 @@ def find_independent_set_of_size(g: Graph, t: int) -> Optional[VertexSet]:
     """
     if t < 1:
         raise GraphInputError(f"size must be at least 1, got {t}")
-    reps = _reps(g)
+    reps = g._twins[0]
     mask = _lex_clique(_co_rows(g, reps), reps, t, [1] * g.n)
     return _to_vertexset(mask) if mask.bit_count() == t else None
 
@@ -611,15 +597,12 @@ def _shortest_odd_cycle(g: Graph, verts: int = -1) -> VertexSet:
         raise InvariantViolation("odd cycle requested in a bipartite graph")
     s, u, v = best
     parent = _bfs(g, s)
-    path_u = [u]
-    while path_u[-1] != s:
-        path_u.append(parent[path_u[-1]])
-    path_u.reverse()  # s .. u
-    path_v = [v]
-    while path_v[-1] != s:
-        path_v.append(parent[path_v[-1]])
+    path_u, path_v = paths = [[u], [v]]
+    for path in paths:
+        while path[-1] != s:
+            path.append(parent[path[-1]])
     # s .. u then v .. (s excluded): cyclic order s -> u -> v -> s.
-    cycle = path_u + path_v[:-1]
+    cycle = path_u[::-1] + path_v[:-1]
     if len(set(cycle)) != len(cycle):  # pragma: no cover - minimality argument
         raise InvariantViolation("shortest odd closed walk was not simple")
     return _canonical_cycle(cycle)

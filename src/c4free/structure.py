@@ -24,7 +24,6 @@ from .graph import (
     _co_rows,
     _graph_of,
     _mask_of,
-    _reps,
     _to_vertexset,
     is_clique,
     require_c4free,
@@ -92,7 +91,7 @@ def alpha2_decompose(g: Graph) -> StructureCertificate:
     expanded to whole classes (README).
     """
     require_c4free(g)
-    reps = _reps(g)
+    reps = g._twins[0]
     result = _bipartition(_graph_of(_co_rows(g, reps)), reps)
     if not isinstance(result, OddCycle):
         parts = tuple(_to_vertexset(_classes_of(g, side)) for side in result)
@@ -189,12 +188,12 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
         relations += [(0, i, True) for i in range(1, 6)]
         relations += [(i, i % 5 + 1, True) for i in range(1, 6)]
         relations += [(i, (i + 1) % 5 + 1, False) for i in range(1, 6)]
-    twins = g._twins
+    classes = g._twins[1]
     for a, b, complete in relations:
         rest = masks[a]
         while rest:
             u = (rest & -rest).bit_length() - 1
-            rest &= ~twins[1][u] if twins else rest - 1
+            rest &= ~classes[u]
             closed = g.adj[u] | 1 << u
             hits = masks[b] & ~closed if complete else masks[b] & closed
             if hits:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -61,16 +61,37 @@ class SuiteConfig:
     oracle_limit: int = ORACLE_LIMIT_DEFAULT
     epsilon: Fraction = Fraction(1, 2)
 
+    def __post_init__(self) -> None:
+        # Refused when built, so that nothing runs or opens for a bad config.
+        if self.suite not in _RUNNERS:
+            raise GraphInputError(
+                f"unknown suite {self.suite!r}; choose from {', '.join(SUITE_NAMES)}"
+            )
+        if self.samples < 0:
+            raise GraphInputError(f"samples must be non-negative, got {self.samples}")
+        if self.oracle_limit < 0:
+            raise GraphInputError(f"oracle_limit must be non-negative, got {self.oracle_limit}")
+        if self.suite in OMEGA_CHECKED and self.oracle_limit < 5:
+            # Below the smallest instance (n = 5) no record would check a clique
+            # against omega, and every record would pass on its other tests.
+            raise GraphInputError(f"suite {self.suite} needs oracle_limit >= 5")
+        if self.suite == "cycle-powers" and self.max_n < 5:
+            raise GraphInputError("cycle-powers needs max_n >= 5")
+        if self.suite == "checker-equiv" and self.max_n < 4:
+            # No graph below 4 vertices holds an induced C4.
+            raise GraphInputError("checker-equiv needs max_n >= 4")
+        sampled = ("bounds-general", "bounds-triple", "large-alpha", "structure")
+        if self.suite in sampled and (self.samples == 0 or self.max_n < 5):
+            raise GraphInputError(f"suite {self.suite} needs samples >= 1 and max_n >= 5")
+        # SplitMix64 takes seeds mod 2**64: a larger one runs another's stream.
+        if not 0 <= self.seed < 1 << 64:
+            raise GraphInputError(f"seed must be in [0, 2**64), got {self.seed}")
+        epsilon = Fraction(self.epsilon)
+        if not 0 < epsilon < 1:
+            raise GraphInputError(f"epsilon must be strictly between 0 and 1, got {epsilon}")
+
     def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-            "max_n": self.max_n,
-            "oracle_limit": self.oracle_limit,
-            "epsilon": str(self.epsilon),
-            "rng": RNG_NAME,
-        }
+        return {**asdict(self), "epsilon": str(self.epsilon), "rng": RNG_NAME}
 
 
 @dataclass
@@ -109,26 +130,6 @@ class Report:
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    if config.suite not in _RUNNERS:
-        raise GraphInputError(
-            f"unknown suite {config.suite!r}; choose from {', '.join(SUITE_NAMES)}"
-        )
-    if config.samples < 0:
-        raise GraphInputError(f"samples must be non-negative, got {config.samples}")
-    if config.oracle_limit < 0:
-        raise GraphInputError(f"oracle_limit must be non-negative, got {config.oracle_limit}")
-    if config.suite in OMEGA_CHECKED and config.oracle_limit < 5:
-        # Below the smallest instance (n = 5) no record would check a clique
-        # against omega, and every record would pass on its other tests.
-        raise GraphInputError(f"suite {config.suite} needs oracle_limit >= 5")
-    if config.suite == "cycle-powers" and config.max_n < 5:
-        raise GraphInputError("cycle-powers needs max_n >= 5")
-    if config.suite == "checker-equiv" and config.max_n < 4:
-        # No graph below 4 vertices holds an induced C4.
-        raise GraphInputError("checker-equiv needs max_n >= 4")
-    sampled = ("bounds-general", "bounds-triple", "large-alpha", "structure")
-    if config.suite in sampled and (config.samples == 0 or config.max_n < 5):
-        raise GraphInputError(f"suite {config.suite} needs samples >= 1 and max_n >= 5")
     report = Report(suite=config.suite, config=config.echo())
     _RUNNERS[config.suite](config, report)
     return report

@@ -570,6 +570,23 @@ class TestVerify:
         assert code == 2
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--suite", "bogus"], "unknown suite 'bogus'"),
+        (["--suite", "bounds-general", "--samples", "0"], "needs samples >= 1"),
+        (["--suite", "cycle-powers", "--epsilon", "2"],
+         "epsilon must be strictly between 0 and 1, got 2"),
+        (["--suite", "large-alpha", "--samples", "1", "--epsilon", "2"],
+         "epsilon must be strictly between 0 and 1, got 2"),
+        (["--suite", "checker-equiv", "--seed", str(2**64)], "--seed must be in [0, 2**64)"),
+    ])
+    def test_refused_config_creates_no_report(self, capsys, tmp_path, flags, message):
+        # Refused before the report file is opened, so no empty file is left.
+        target = tmp_path / "new.json"
+        code, out, err = run_cli(capsys, "verify", *flags, "--json", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not target.exists()
+
 
 # (valid values, boundary values) for the property test below. Every graph
 # stays at n <= 6 and every suite at two samples, so one run takes

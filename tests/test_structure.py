@@ -420,8 +420,8 @@ class TestOnTwinClasses:
     def test_one_vertex_moved_out_of_its_class(self, data, g):
         cert = alpha2_decompose(g)
         groups = _groups(cert)
-        twins = g._twins
-        split = [v for v in range(g.n) if twins and twins[1][v] & (twins[1][v] - 1)]
+        classes = g._twins[1]
+        split = [v for v in range(g.n) if classes[v] & (classes[v] - 1)]
         if not split:
             return
         v = data.draw(st.sampled_from(split))

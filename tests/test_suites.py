@@ -110,9 +110,27 @@ class TestRunSuite:
             assert len(report.records) == 15
 
     def test_config_echo_includes_rng(self):
+        # Every config field, epsilon as its string, and the stream's name.
         report = run_suite(_config("bounds-general", samples=3))
-        assert report.config["rng"] == "splitmix64-v1"
-        assert report.config["seed"] == 42
+        assert report.config == {
+            "suite": "bounds-general", "seed": 42, "samples": 3, "max_n": 20,
+            "oracle_limit": 48, "epsilon": "1/2", "rng": "splitmix64-v1",
+        }
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+    def test_out_of_range_seed_refused_when_built(self, seed):
+        # 2**64 + 3 would run seed 3's stream and echo its own value.
+        message = rf"^seed must be in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(GraphInputError, match=message):
+            SuiteConfig("structure", seed, 2, 9)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(2), 0, 1, Fraction(-1, 2), "2"])
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_epsilon_outside_the_unit_interval_refused_when_built(self, suite, epsilon):
+        # Every suite echoes epsilon, so every suite refuses one it cannot use.
+        message = rf"^epsilon must be strictly between 0 and 1, got {Fraction(epsilon)}$"
+        with pytest.raises(GraphInputError, match=message):
+            _config(suite, epsilon=epsilon)
 
     def test_epsilon_affects_large_alpha_config(self):
         report = run_suite(_config("large-alpha", samples=3, epsilon=Fraction(1, 4)))

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import c4free.generators as generators
 import c4free.graph as graph_module
@@ -34,6 +35,7 @@ from helpers import (
     LoggedRows,
     cycle,
     house,
+    raw_graphs,
     reference_independent_set_of_size,
     reference_max_clique,
     reference_scan,
@@ -141,17 +143,17 @@ class TestAgainstReferences:
             assert find_independent_set_of_size(g, t) == reference_independent_set_of_size(g, t)
 
     @settings(max_examples=100, deadline=None)
-    @given(twin_rich_graphs())
+    @given(st.one_of(twin_rich_graphs(), raw_graphs()))
     def test_twin_classes(self, g):
+        # Every graph carries its classes; a twin-free one has n singletons.
         closed = [row | 1 << v for v, row in enumerate(g.adj)]
         classes = [sum(1 << u for u in range(g.n) if closed[u] == closed[v]) for v in range(g.n)]
-        twins = g._twins
+        reps, members = g._twins
+        assert reps == sum(1 << v for v in range(g.n) if classes[v] & -classes[v] == 1 << v)
+        assert list(members) == classes
         if len(set(closed)) == g.n:
-            assert twins is None
-        else:
-            reps, members = twins
-            assert reps == sum(1 << v for v in range(g.n) if classes[v] & -classes[v] == 1 << v)
-            assert list(members) == classes
+            assert reps == g.full_mask
+            assert list(members) == [1 << v for v in range(g.n)]
 
 
 class TestVerdict:
