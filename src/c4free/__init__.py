@@ -43,7 +43,6 @@ from .structure import (
     verify_certificate,
 )
 from .extraction import (
-    DominatingPair,
     best_pair_intersection,
     check_certificate,
     degree_square_census,

@@ -56,14 +56,6 @@ STRICT_METHODS = frozenset({METHOD_TRIPLE})
 
 
 @dataclass(frozen=True)
-class DominatingPair:
-    """Non-adjacent u, w whose closed neighborhoods cover every vertex."""
-
-    u: int
-    w: int
-
-
-@dataclass(frozen=True)
 class CliqueCertificate:
     clique: VertexSet
     method: str
@@ -175,15 +167,15 @@ def _regular_k(g: Graph) -> int:
     return k
 
 
-def find_dominating_nonadjacent_pair(g: Graph) -> Optional[DominatingPair]:
-    """First non-adjacent pair (lexicographic) whose closed neighborhoods cover V."""
+def find_dominating_nonadjacent_pair(g: Graph) -> Optional[tuple[int, int]]:
+    """First non-adjacent pair (u, w), lexicographic, whose closed neighborhoods cover V."""
     full = g.full_mask
     for u in range(g.n):
         candidates = ~g.adj[u] & _above(u) & full
         for v in _bit_indices(candidates):
             covered = g.adj[u] | g.adj[v] | (1 << u) | (1 << v)
             if covered == full:
-                return DominatingPair(u, v)
+                return (u, v)
     return None
 
 
@@ -239,7 +231,7 @@ def extract_regular(g: Graph) -> CliqueCertificate:
             "no dominating non-adjacent pair although the graph has an independent triple",
         )
 
-    u, w = pair.u, pair.w
+    u, w = pair
     x_set = common_neighbors(g, u, w)
     count = g.degree(u) + g.degree(w) - len(x_set)
     if count != n - 2 or len(x_set) != 1:

@@ -611,7 +611,6 @@ def _shortest_odd_cycle(g: Graph, verts: int = -1) -> VertexSet:
 def _canonical_cycle(cycle: list[int]) -> VertexSet:
     # Rotate so the minimum vertex leads, then orient toward its smaller
     # cycle neighbor.
-    k = len(cycle)
     start = cycle.index(min(cycle))
     rotated = cycle[start:] + cycle[:start]
     if rotated[1] > rotated[-1]:

@@ -32,6 +32,13 @@ from .graph import (
 KIND_COMPLEMENT_BIPARTITE = "complement-bipartite"
 KIND_W5_SUBSTITUTION = "w5-substitution"
 
+# Per kind: the names of its groups in certificate order, and what a
+# certificate without exactly that many groups is missing.
+GROUP_NAMES = {
+    KIND_COMPLEMENT_BIPARTITE: (("part 1", "part 2"), "its parts"),
+    KIND_W5_SUBSTITUTION: (("hub", *(f"group {i}" for i in range(1, 6))), "its six groups"),
+}
+
 
 class HypothesisViolation(RuntimeError):
     """The input was not C4-free with independence number at most 2.
@@ -49,28 +56,24 @@ class HypothesisViolation(RuntimeError):
 class StructureCertificate:
     """Either a two-clique cover or a six-group 5-wheel substitution.
 
-    For kind "complement-bipartite" the two parts partition the vertex
-    set and each part is a clique. For kind "w5-substitution" the hub
-    group plus five cycle groups partition the vertex set, every group
-    is a clique, the hub is complete to all cycle groups, consecutive
-    cycle groups are complete to each other, and non-consecutive ones
-    span no edges.
+    For kind "complement-bipartite" the groups are (part 1, part 2): they
+    partition the vertex set and each is a clique. For kind
+    "w5-substitution" the groups are (hub, group 1, ..., group 5): they
+    partition the vertex set, every group is a clique, the hub is
+    complete to all cycle groups, consecutive cycle groups are complete
+    to each other, and non-consecutive ones span no edges.
     """
 
     kind: str
-    parts: Optional[tuple[VertexSet, VertexSet]] = None
-    hub: Optional[VertexSet] = None
-    cycle_groups: Optional[tuple[VertexSet, ...]] = None
+    groups: tuple[VertexSet, ...]
 
     def to_json_dict(self) -> dict:
         out: dict = {"format_version": 1, "kind": self.kind}
+        groups = [list(grp) for grp in self.groups]
         if self.kind == KIND_COMPLEMENT_BIPARTITE:
-            assert self.parts is not None
-            out["parts"] = [list(self.parts[0]), list(self.parts[1])]
+            out["parts"] = groups
         else:
-            assert self.hub is not None and self.cycle_groups is not None
-            out["hub"] = list(self.hub)
-            out["cycle_groups"] = [list(q) for q in self.cycle_groups]
+            out["hub"], out["cycle_groups"] = groups[0], groups[1:]
         return out
 
 
@@ -95,7 +98,7 @@ def alpha2_decompose(g: Graph) -> StructureCertificate:
     result = _bipartition(_graph_of(_co_rows(g, reps)), reps)
     if not isinstance(result, OddCycle):
         parts = tuple(_to_vertexset(_classes_of(g, side)) for side in result)
-        return StructureCertificate(kind=KIND_COMPLEMENT_BIPARTITE, parts=parts)
+        return StructureCertificate(KIND_COMPLEMENT_BIPARTITE, parts)
 
     cyc = result.vertices
     if len(cyc) == 3:
@@ -134,9 +137,7 @@ def alpha2_decompose(g: Graph) -> StructureCertificate:
     ordered = forward if forward[1] & -forward[1] < backward[1] & -backward[1] else backward
 
     cert = StructureCertificate(
-        kind=KIND_W5_SUBSTITUTION,
-        hub=_to_vertexset(groups[0]),
-        cycle_groups=tuple(_to_vertexset(q) for q in ordered),
+        KIND_W5_SUBSTITUTION, tuple(_to_vertexset(q) for q in [groups[0], *ordered])
     )
     failure = find_certificate_violation(g, cert)
     if failure is not None:
@@ -150,23 +151,16 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
     Checked edge by edge with no reliance on how the certificate was
     produced.
     """
-    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        if cert.parts is None or len(cert.parts) != 2:
-            return "complement-bipartite certificate is missing its parts"
-        p1, p2 = cert.parts
-        named = [("part 1", p1), ("part 2", p2)]
-    elif cert.kind == KIND_W5_SUBSTITUTION:
-        if cert.hub is None or cert.cycle_groups is None or len(cert.cycle_groups) != 5:
-            return "w5-substitution certificate is missing its six groups"
-        named = [("hub", cert.hub)]
-        named += [(f"group {i + 1}", grp) for i, grp in enumerate(cert.cycle_groups)]
-    else:
+    if cert.kind not in GROUP_NAMES:
         return f"unknown certificate kind {cert.kind!r}"
+    names, missing = GROUP_NAMES[cert.kind]
+    if len(cert.groups) != len(names):
+        return f"{cert.kind} certificate is missing {missing}"
 
     # One pass over the groups in their order builds the group masks and
     # checks that they partition the vertex set.
     masks, seen = [], 0
-    for _, grp in named:
+    for grp in cert.groups:
         before = seen
         for v in grp:
             if not (0 <= v < g.n):
@@ -183,7 +177,7 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
     # which must span no edge. The pair named is the least u, then the least v.
     # True twins have one closed row, so only the least member of each class
     # in a group is tested, even where a group splits a class.
-    relations = [(a, a, True) for a in range(len(named))]
+    relations = [(a, a, True) for a in range(len(names))]
     if cert.kind == KIND_W5_SUBSTITUTION:
         relations += [(0, i, True) for i in range(1, 6)]
         relations += [(i, i % 5 + 1, True) for i in range(1, 6)]
@@ -199,9 +193,9 @@ def find_certificate_violation(g: Graph, cert: StructureCertificate) -> Optional
             if hits:
                 v = (hits & -hits).bit_length() - 1
                 if a == b:
-                    return f"{named[a][0]} is not a clique: {u} and {v} are non-adjacent"
+                    return f"{names[a]} is not a clique: {u} and {v} are non-adjacent"
                 state = "non-adjacent" if complete else "adjacent"
-                return f"{named[a][0]} vertex {u} is {state} to {named[b][0]} vertex {v}"
+                return f"{names[a]} vertex {u} is {state} to {names[b]} vertex {v}"
     return None
 
 
@@ -213,9 +207,8 @@ def _best_clique(cert: StructureCertificate) -> VertexSet:
     # The first largest of the two parts, or of the five cliques hub + group
     # i + group i+1. Read off without a check: callers check the certificate.
     if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        return max(cert.parts, key=len)
-    hub = _mask_of(cert.hub)
-    rim = [_mask_of(q) for q in cert.cycle_groups]
+        return max(cert.groups, key=len)
+    hub, *rim = map(_mask_of, cert.groups)
     cliques = [hub | rim[i] | rim[(i + 1) % 5] for i in range(5)]
     return _to_vertexset(max(cliques, key=int.bit_count))
 

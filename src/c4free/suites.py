@@ -86,9 +86,10 @@ class SuiteConfig:
         # SplitMix64 takes seeds mod 2**64: a larger one runs another's stream.
         if not 0 <= self.seed < 1 << 64:
             raise GraphInputError(f"seed must be in [0, 2**64), got {self.seed}")
-        epsilon = Fraction(self.epsilon)
-        if not 0 < epsilon < 1:
-            raise GraphInputError(f"epsilon must be strictly between 0 and 1, got {epsilon}")
+        # Stored as a Fraction, so that equal values echo and rerun alike.
+        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        if not 0 < self.epsilon < 1:
+            raise GraphInputError(f"epsilon must be strictly between 0 and 1, got {self.epsilon}")
 
     def echo(self) -> dict:
         return {**asdict(self), "epsilon": str(self.epsilon), "rng": RNG_NAME}
@@ -99,22 +100,23 @@ class Report:
     suite: str
     config: dict
     records: list[dict] = field(default_factory=list)
-    passed: int = 0
-    failed: int = 0
+
+    @property
+    def passed(self) -> int:
+        return sum(record["pass"] for record in self.records)
+
+    @property
+    def failed(self) -> int:
+        return len(self.records) - self.passed
 
     def add(self, record: dict) -> None:
-        if record["pass"]:
-            self.passed += 1
-        else:
-            assert "repro" in record, "failing records must carry a repro command"
-            self.failed += 1
+        assert record["pass"] or "repro" in record, "failing records must carry a repro command"
         self.records.append(record)
 
     def all_passed(self) -> bool:
         return self.failed == 0
 
     def to_json_dict(self) -> dict:
-        assert self.passed + self.failed == len(self.records)
         return {
             "format_version": 1,
             "suite": self.suite,

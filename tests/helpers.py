@@ -744,7 +744,7 @@ def reference_alpha2_decompose(g: Graph) -> StructureCertificate:
     require_c4free(g)
     result = bipartition(complement(g))
     if not isinstance(result, OddCycle):
-        return StructureCertificate(kind=KIND_COMPLEMENT_BIPARTITE, parts=result)
+        return StructureCertificate(kind=KIND_COMPLEMENT_BIPARTITE, groups=result)
 
     cyc = result.vertices
     if len(cyc) == 3:
@@ -795,8 +795,7 @@ def reference_alpha2_decompose(g: Graph) -> StructureCertificate:
 
     cert = StructureCertificate(
         kind=KIND_W5_SUBSTITUTION,
-        hub=tuple(sorted(hub)),
-        cycle_groups=tuple(tuple(q) for q in ordered),
+        groups=(tuple(sorted(hub)), *(tuple(q) for q in ordered)),
     )
     failure = reference_find_certificate_violation(g, cert)
     if failure is not None:
@@ -811,15 +810,15 @@ def reference_find_certificate_violation(g: Graph, cert: StructureCertificate) -
     produced.
     """
     if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        if cert.parts is None:
+        if len(cert.groups) != 2:
             return "complement-bipartite certificate is missing its parts"
-        p1, p2 = cert.parts
+        p1, p2 = cert.groups
         named = [("part 1", p1), ("part 2", p2)]
     elif cert.kind == KIND_W5_SUBSTITUTION:
-        if cert.hub is None or cert.cycle_groups is None or len(cert.cycle_groups) != 5:
+        if len(cert.groups) != 6:
             return "w5-substitution certificate is missing its six groups"
-        named = [("hub", cert.hub)]
-        named += [(f"group {i + 1}", grp) for i, grp in enumerate(cert.cycle_groups)]
+        named = [("hub", cert.groups[0])]
+        named += [(f"group {i + 1}", grp) for i, grp in enumerate(cert.groups[1:])]
     else:
         return f"unknown certificate kind {cert.kind!r}"
 
@@ -887,18 +886,13 @@ def reference_clique_from_certificate(g: Graph, cert: StructureCertificate) -> V
     if failure is not None:
         raise GraphInputError(f"invalid structure certificate: {failure}")
     if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        assert cert.parts is not None
-        p1, p2 = cert.parts
+        p1, p2 = cert.groups
         best = p1 if len(p1) >= len(p2) else p2
     else:
-        assert cert.hub is not None and cert.cycle_groups is not None
+        hub, *rim = cert.groups
         best = None
         for i in range(5):
-            candidate = tuple(
-                sorted(
-                    {*cert.hub, *cert.cycle_groups[i], *cert.cycle_groups[(i + 1) % 5]}
-                )
-            )
+            candidate = tuple(sorted({*hub, *rim[i], *rim[(i + 1) % 5]}))
             if best is None or len(candidate) > len(best):
                 best = candidate
         assert best is not None

@@ -312,13 +312,14 @@ class TestClique:
 
 class TestStructure:
     def test_p4_certificate(self, capsys, tmp_path):
+        # The whole stdout: the parts, and no hub or cycle_groups key.
         f = tmp_path / "p4.txt"
         f.write_text("4 3\n0 1\n1 2\n2 3\n")
-        code, out, _ = run_cli(capsys, "structure", str(f))
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["kind"] == "complement-bipartite"
-        assert payload["parts"] == [[0, 1], [2, 3]]
+        TestAlpha2Bytes.assert_stdout(capsys, ("structure", str(f)), {
+            "format_version": 1,
+            "kind": "complement-bipartite",
+            "parts": [[0, 1], [2, 3]],
+        })
 
     def test_alpha_above_two(self, capsys, tmp_path):
         f = tmp_path / "g.txt"

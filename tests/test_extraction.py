@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4free import (
-    DominatingPair,
     GraphInputError,
     InvariantViolation,
     best_pair_intersection,
@@ -45,7 +44,7 @@ from helpers import (
 
 class TestDominatingPair:
     def test_c5(self):
-        assert find_dominating_nonadjacent_pair(cycle(5)) == DominatingPair(0, 2)
+        assert find_dominating_nonadjacent_pair(cycle(5)) == (0, 2)
 
     def test_k4_has_none(self):
         assert find_dominating_nonadjacent_pair(complete(4)) is None
@@ -53,15 +52,14 @@ class TestDominatingPair:
     def test_cycle_power_two_scan_order(self):
         # (0, 3) leaves vertex 6 uncovered; (0, 4) is the first pair that works.
         g = cycle_power(2)
-        assert find_dominating_nonadjacent_pair(g) == DominatingPair(0, 4)
+        assert find_dominating_nonadjacent_pair(g) == (0, 4)
 
     def test_pair_really_dominates(self):
         g = cycle_power(3)
-        pair = find_dominating_nonadjacent_pair(g)
-        assert pair is not None
-        covered = set(neighbors(g, pair.u)) | set(neighbors(g, pair.w)) | {pair.u, pair.w}
+        u, w = find_dominating_nonadjacent_pair(g)
+        covered = set(neighbors(g, u)) | set(neighbors(g, w)) | {u, w}
         assert covered == set(range(g.n))
-        assert not g.has_edge(pair.u, pair.w)
+        assert not g.has_edge(u, w)
 
 
 class TestExtractRegular:
@@ -530,7 +528,7 @@ class TestCertificateGate:
         # An adjacent pair dominates nothing the degree count can use.
         monkeypatch.setattr(
             "c4free.extraction.find_dominating_nonadjacent_pair",
-            lambda g: DominatingPair(0, 1),
+            lambda g: (0, 1),
         )
         with pytest.raises(InvariantViolation):
             extract_regular(cycle_power(2))

@@ -49,20 +49,18 @@ class TestAlpha2Decompose:
     def test_p4_complement_bipartite(self):
         cert = alpha2_decompose(path(4))
         assert cert.kind == KIND_COMPLEMENT_BIPARTITE
-        assert cert.parts == ((0, 1), (2, 3))
+        assert cert.groups == ((0, 1), (2, 3))
 
     def test_c5_is_a_wheel_substitution(self):
         cert = alpha2_decompose(cycle(5))
         assert cert.kind == KIND_W5_SUBSTITUTION
-        assert cert.hub == ()
-        assert cert.cycle_groups == ((0,), (1,), (2,), (3,), (4,))
+        assert cert.groups == ((), (0,), (1,), (2,), (3,), (4,))
 
     def test_doubled_hub_blowup(self):
         g = w5_blowup([2, 1, 1, 1, 1, 1])
         cert = alpha2_decompose(g)
         assert cert.kind == KIND_W5_SUBSTITUTION
-        assert cert.hub == (0, 1)
-        assert cert.cycle_groups == ((2,), (3,), (4,), (5,), (6,))
+        assert cert.groups == ((0, 1), (2,), (3,), (4,), (5,), (6,))
 
     def test_rejects_graph_with_induced_c4(self):
         with pytest.raises(GraphInputError):
@@ -80,7 +78,11 @@ class TestAlpha2Decompose:
     def test_single_vertex(self):
         cert = alpha2_decompose(build_graph(1, []))
         assert cert.kind == KIND_COMPLEMENT_BIPARTITE
-        assert cert.parts == ((0,), ())
+        assert cert.groups == ((0,), ())
+
+
+PARTS_MISSING = "complement-bipartite certificate is missing its parts"
+GROUPS_MISSING = "w5-substitution certificate is missing its six groups"
 
 
 class TestVerifyCertificate:
@@ -93,47 +95,54 @@ class TestVerifyCertificate:
         assert verify_certificate(g, alpha2_decompose(g))
 
     def test_c5_claiming_complement_bipartite_fails(self):
-        cert = StructureCertificate(
-            kind=KIND_COMPLEMENT_BIPARTITE, parts=((0, 1, 2), (3, 4))
-        )
+        cert = StructureCertificate(KIND_COMPLEMENT_BIPARTITE, ((0, 1, 2), (3, 4)))
         assert not verify_certificate(cycle(5), cert)
 
     def test_swapped_groups_fail_with_witness(self):
         g = w5_base()
         cert = alpha2_decompose(g)
-        groups = list(cert.cycle_groups)
-        groups[0], groups[2] = groups[2], groups[0]
-        tampered = StructureCertificate(
-            kind=KIND_W5_SUBSTITUTION, hub=cert.hub, cycle_groups=tuple(groups)
-        )
+        groups = list(cert.groups)
+        groups[1], groups[3] = groups[3], groups[1]
+        tampered = StructureCertificate(KIND_W5_SUBSTITUTION, tuple(groups))
         violation = find_certificate_violation(g, tampered)
         assert violation is not None
         assert "adjacent" in violation
 
     def test_missing_vertex_detected(self):
-        cert = StructureCertificate(kind=KIND_COMPLEMENT_BIPARTITE, parts=((0, 1), (2,)))
+        cert = StructureCertificate(KIND_COMPLEMENT_BIPARTITE, ((0, 1), (2,)))
         assert find_certificate_violation(path(4), cert) == "vertex 3 is not covered"
 
     def test_overlapping_groups_detected(self):
-        cert = StructureCertificate(
-            kind=KIND_COMPLEMENT_BIPARTITE, parts=((0, 1), (1, 2, 3))
-        )
+        cert = StructureCertificate(KIND_COMPLEMENT_BIPARTITE, ((0, 1), (1, 2, 3)))
         violation = find_certificate_violation(path(4), cert)
         assert violation == "vertex 1 appears in two groups"
 
     @pytest.mark.parametrize(
-        "parts", [((0, 1, 2, 3),), ((0, 1), (2,), (3,)), ()], ids=["one", "three", "none"]
+        "kind, groups, message",
+        [
+            (KIND_COMPLEMENT_BIPARTITE, ((0, 1, 2, 3),), PARTS_MISSING),
+            (KIND_COMPLEMENT_BIPARTITE, ((0, 1), (2,), (3,)), PARTS_MISSING),
+            (KIND_COMPLEMENT_BIPARTITE, (), PARTS_MISSING),
+            (KIND_W5_SUBSTITUTION, (), GROUPS_MISSING),
+            (KIND_W5_SUBSTITUTION, ((0,), (1,), (2,), (3,), ()), GROUPS_MISSING),
+            (KIND_W5_SUBSTITUTION, ((), (0,), (1,), (2,), (3,), (), ()), GROUPS_MISSING),
+        ],
+        ids=["one-part", "three-parts", "no-parts", "no-groups", "five-groups", "seven-groups"],
     )
-    def test_other_than_two_parts_is_refused(self, parts):
-        # Refused with the message of a certificate without parts, not by a
-        # failed unpacking.
-        message = "complement-bipartite certificate is missing its parts"
-        cert = StructureCertificate(kind=KIND_COMPLEMENT_BIPARTITE, parts=parts)
+    def test_wrong_group_count_is_refused(self, kind, groups, message):
+        # Refused with the message of a certificate without its groups, not
+        # by a failed unpacking.
+        cert = StructureCertificate(kind, groups)
         assert find_certificate_violation(path(4), cert) == message
         assert not verify_certificate(path(4), cert)
         with pytest.raises(GraphInputError) as exc:
             clique_from_certificate(path(4), cert)
         assert str(exc.value) == f"invalid structure certificate: {message}"
+
+    def test_unknown_kind_is_refused(self):
+        cert = StructureCertificate("x", ((0, 1), (2, 3)))
+        assert find_certificate_violation(path(4), cert) == "unknown certificate kind 'x'"
+        assert not verify_certificate(path(4), cert)
 
 
 class TestCliqueFromCertificate:
@@ -153,9 +162,7 @@ class TestCliqueFromCertificate:
         assert clique == (0, 1)
 
     def test_invalid_certificate_rejected(self):
-        cert = StructureCertificate(
-            kind=KIND_COMPLEMENT_BIPARTITE, parts=((0, 1, 2), (3, 4))
-        )
+        cert = StructureCertificate(KIND_COMPLEMENT_BIPARTITE, ((0, 1, 2), (3, 4)))
         with pytest.raises(GraphInputError):
             clique_from_certificate(cycle(5), cert)
 
@@ -215,14 +222,12 @@ class TestViolationMessages:
              "non-consecutive-edge"],
     )
     def test_w5_substitution_messages(self, hub, groups, message):
-        cert = StructureCertificate(kind=KIND_W5_SUBSTITUTION, hub=hub, cycle_groups=groups)
+        cert = StructureCertificate(KIND_W5_SUBSTITUTION, (hub, *groups))
         assert find_certificate_violation(self.W5, cert) == message
 
     def test_part_not_a_clique_message(self):
         two_triangles = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        cert = StructureCertificate(
-            kind=KIND_COMPLEMENT_BIPARTITE, parts=((0, 1), (2, 3, 4, 5))
-        )
+        cert = StructureCertificate(KIND_COMPLEMENT_BIPARTITE, ((0, 1), (2, 3, 4, 5)))
         assert find_certificate_violation(two_triangles, cert) == (
             "part 2 is not a clique: 2 and 3 are non-adjacent"
         )
@@ -239,19 +244,6 @@ def alpha2_graphs(draw):
     return _co_bipartite_c4free(n, side_mask, draw(st.integers(0, 2**64 - 1)))
 
 
-def _groups(cert):
-    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        return [list(part) for part in cert.parts]
-    return [list(cert.hub)] + [list(q) for q in cert.cycle_groups]
-
-
-def _with_groups(cert, groups):
-    groups = [tuple(grp) for grp in groups]
-    if cert.kind == KIND_COMPLEMENT_BIPARTITE:
-        return StructureCertificate(kind=cert.kind, parts=tuple(groups))
-    return StructureCertificate(kind=cert.kind, hub=groups[0], cycle_groups=tuple(groups[1:]))
-
-
 def _outcome(read, g, cert):
     try:
         return read(g, cert)
@@ -264,7 +256,7 @@ def tampered(draw, g, cert):
     """cert with one change: a vertex moved, repeated or dropped, a group
     emptied, -1 or n added, two groups swapped, or the hub swapped with a
     group."""
-    groups = _groups(cert)
+    groups = [list(grp) for grp in cert.groups]
     slots = range(len(groups))
     filled = [i for i in slots if groups[i]]
     change = draw(st.sampled_from(["move", "repeat", "drop", "empty", "outside", "swap", "hub"]))
@@ -285,7 +277,7 @@ def tampered(draw, g, cert):
         i = 0 if change == "hub" else draw(st.sampled_from(slots))
         j = draw(st.sampled_from([j for j in slots if j != i]))
         groups[i], groups[j] = groups[j], groups[i]
-    return _with_groups(cert, groups)
+    return StructureCertificate(cert.kind, tuple(map(tuple, groups)))
 
 
 class TestAgainstReference:
@@ -419,7 +411,7 @@ class TestOnTwinClasses:
     @given(data=st.data(), g=alpha2_graphs())
     def test_one_vertex_moved_out_of_its_class(self, data, g):
         cert = alpha2_decompose(g)
-        groups = _groups(cert)
+        groups = [list(grp) for grp in cert.groups]
         classes = g._twins[1]
         split = [v for v in range(g.n) if classes[v] & (classes[v] - 1)]
         if not split:
@@ -429,7 +421,7 @@ class TestOnTwinClasses:
         groups[i].remove(v)
         j = data.draw(st.sampled_from([j for j in range(len(groups)) if j != i]))
         groups[j].insert(data.draw(st.integers(0, len(groups[j]))), v)
-        moved = _with_groups(cert, groups)
+        moved = StructureCertificate(cert.kind, tuple(map(tuple, groups)))
         assert find_certificate_violation(g, moved) == (
             reference_find_certificate_violation(g, moved)
         )
@@ -439,10 +431,10 @@ class TestOnTwinClasses:
     def test_groups_drawn_at_random(self, data, g):
         # Every vertex in a random group: most classes are split.
         cert = alpha2_decompose(g)
-        groups = [[] for _ in _groups(cert)]
+        groups = [[] for _ in cert.groups]
         for v in data.draw(st.permutations(range(g.n))):
             groups[data.draw(st.integers(0, len(groups) - 1))].append(v)
-        drawn = _with_groups(cert, groups)
+        drawn = StructureCertificate(cert.kind, tuple(map(tuple, groups)))
         assert find_certificate_violation(g, drawn) == (
             reference_find_certificate_violation(g, drawn)
         )

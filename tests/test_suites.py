@@ -136,6 +136,22 @@ class TestRunSuite:
         report = run_suite(_config("large-alpha", samples=3, epsilon=Fraction(1, 4)))
         assert report.config["epsilon"] == "1/4"
 
+    def test_equal_epsilons_give_identical_reports(self):
+        reports = {
+            run_suite(SuiteConfig("large-alpha", 1, 3, 12, epsilon=epsilon)).to_json()
+            for epsilon in ("0.5", "1/2", Fraction(1, 2), 0.5)
+        }
+        assert len(reports) == 1
+
+    def test_float_epsilon_echoes_the_value_that_ran(self, monkeypatch):
+        # 0.1 is not 1/10: the echo and every repro name the float's exact value.
+        monkeypatch.setattr(suites, "check_certificate", lambda *args: False)
+        report = run_suite(SuiteConfig("large-alpha", 1, 3, 12, epsilon=0.1))
+        assert report.config["epsilon"] == str(Fraction(0.1)) != "0.1"
+        assert len(report.records) == 3 and all(
+            f"--epsilon {Fraction(0.1)} -" in record["repro"] for record in report.records
+        )
+
 
 class TestRandomCorpus:
     @pytest.mark.parametrize("seed", [1, 2, 42, 2**63 + 5])

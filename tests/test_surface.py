@@ -54,7 +54,7 @@ def test_every_export_has_a_caller():
 
 # `wc -l src/c4free/*.py`. A change that needs more lines raises this in the
 # same diff and says why in CHANGES.md.
-SRC_LINE_CEILING = 2730
+SRC_LINE_CEILING = 2715
 
 
 def test_src_line_ceiling():
