@@ -122,26 +122,33 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a graph and print its edge list")
     gen.set_defaults(run=_cmd_gen)
     gen_sub = gen.add_subparsers(dest="generator", required=True)
+    # Each size follows from the arguments, so an oversized graph is refused
+    # before it is built and scanned; a build looks its generator up when run.
 
     p = gen_sub.add_parser("cycle-power", help="cycle on 4k+1 vertices with chords up to distance k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("-o", metavar="FILE", default=None)
+    p.set_defaults(size=lambda a: 4 * a.k + 1, build=lambda a: cycle_power(a.k))
 
     p = gen_sub.add_parser("w5", help="clique substitution into the 5-wheel")
     p.add_argument("--sizes", type=_sizes_list, required=True,
                    help="six sizes: hub,s1,s2,s3,s4,s5")
     p.add_argument("-o", metavar="FILE", default=None)
+    p.set_defaults(size=lambda a: sum(a.sizes), build=lambda a: w5_blowup(a.sizes))
 
     p = gen_sub.add_parser("substitute", help="clique substitution into a base graph")
     p.add_argument("--base", metavar="FILE", required=True)
     p.add_argument("--sizes", type=_sizes_list, required=True)
     p.add_argument("-o", metavar="FILE", default=None)
+    p.set_defaults(size=lambda a: sum(a.sizes),
+                   build=lambda a: clique_substitution(_load_graph(a.base), a.sizes))
 
     p = gen_sub.add_parser("random", help="seeded random graph repaired to be C4-free")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", metavar="FILE", default=None)
+    p.set_defaults(size=lambda a: a.n, build=lambda a: random_c4free(a.n, a.p, a.seed))
 
     check = sub.add_parser("check", help="recognition checks")
     check.set_defaults(run=_cmd_check)
@@ -205,26 +212,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    # The vertex count follows from the arguments, so an oversized graph is
-    # refused before it is built and scanned.
-    if args.generator == "cycle-power":
-        n = 4 * args.k + 1
-    elif args.generator == "random":
-        n = args.n
-    else:
-        n = sum(args.sizes)
+    n = args.size(args)
     if n > CLI_VERTEX_LIMIT:
         raise GraphInputError(f"n={n} exceeds the vertex limit {CLI_VERTEX_LIMIT}")
-    if args.generator == "cycle-power":
-        g = cycle_power(args.k)
-    elif args.generator == "w5":
-        g = w5_blowup(args.sizes)
-    elif args.generator == "substitute":
-        base = _load_graph(args.base)
-        g = clique_substitution(base, args.sizes)
-    else:
-        g = random_c4free(args.n, args.p, args.seed)
-    _write_text(args.o, _edge_lines(g))
+    _write_text(args.o, _edge_lines(args.build(args)))
     return EXIT_OK
 
 

@@ -571,17 +571,12 @@ def _least_odd_walk(adj: tuple[int, ...], s: int, limit: int) -> Optional[tuple[
     return None
 
 
-def _has_triangle(adj: Sequence[int], verts: int = -1) -> bool:
-    us = _bit_indices(verts & (1 << len(adj)) - 1)
-    return any(adj[u] & adj[v] for u in us for v in _bit_indices(adj[u] & _above(u)))
-
-
 def _shortest_odd_cycle(g: Graph, verts: int = -1) -> VertexSet:
     # Minimum over sources s and edges (u, v) with dist_s(u) = dist_s(v) of
     # the closed walk length 2*dist+1; the minimum odd closed walk is a
     # simple chordless cycle. First achiever in (s, u, v) scan order wins:
     # a later source replaces it only with a strictly shorter walk. The
-    # search ends at length 3, or at 5 when the graph has no triangle.
+    # search ends at length 3.
     # Sources are the vertices of verts, whose rows must stay inside it.
     best: Optional[tuple[int, int, int]] = None
     limit = 2 * g.n
@@ -591,7 +586,7 @@ def _shortest_odd_cycle(g: Graph, verts: int = -1) -> VertexSet:
             continue
         limit, u, v = found
         best = (s, u, v)
-        if limit == 3 or (limit == 5 and not _has_triangle(g.adj, verts)):
+        if limit == 3:
             break
     if best is None:
         raise InvariantViolation("odd cycle requested in a bipartite graph")

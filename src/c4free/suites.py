@@ -8,6 +8,7 @@ and reruns the check.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -38,6 +39,7 @@ from .graph import (
     ORACLE_LIMIT_DEFAULT,
     Graph,
     GraphInputError,
+    InvariantViolation,
     _graph_of,
     common_neighbors,
     find_induced_c4,
@@ -46,10 +48,7 @@ from .graph import (
     is_clique,
     max_clique_exact,
 )
-from .structure import _best_clique, alpha2_decompose, verify_certificate
-
-# Suites that test every extracted clique against the exact clique number.
-OMEGA_CHECKED = ("cycle-powers", "bounds-general", "bounds-triple", "large-alpha")
+from .structure import HypothesisViolation, _best_clique, alpha2_decompose, verify_certificate
 
 
 @dataclass(frozen=True)
@@ -63,31 +62,29 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         # Refused when built, so that nothing runs or opens for a bad config.
-        if self.suite not in _RUNNERS:
+        if self.suite not in _SUITES:
             raise GraphInputError(
                 f"unknown suite {self.suite!r}; choose from {', '.join(SUITE_NAMES)}"
             )
+        _, least_n, sampled, omega_checked = _SUITES[self.suite]
         if self.samples < 0:
             raise GraphInputError(f"samples must be non-negative, got {self.samples}")
         if self.oracle_limit < 0:
             raise GraphInputError(f"oracle_limit must be non-negative, got {self.oracle_limit}")
-        if self.suite in OMEGA_CHECKED and self.oracle_limit < 5:
-            # Below the smallest instance (n = 5) no record would check a clique
-            # against omega, and every record would pass on its other tests.
+        if omega_checked and self.oracle_limit < 5:
             raise GraphInputError(f"suite {self.suite} needs oracle_limit >= 5")
-        if self.suite == "cycle-powers" and self.max_n < 5:
-            raise GraphInputError("cycle-powers needs max_n >= 5")
-        if self.suite == "checker-equiv" and self.max_n < 4:
-            # No graph below 4 vertices holds an induced C4.
-            raise GraphInputError("checker-equiv needs max_n >= 4")
-        sampled = ("bounds-general", "bounds-triple", "large-alpha", "structure")
-        if self.suite in sampled and (self.samples == 0 or self.max_n < 5):
-            raise GraphInputError(f"suite {self.suite} needs samples >= 1 and max_n >= 5")
+        if sampled and (self.samples == 0 or self.max_n < least_n):
+            raise GraphInputError(f"suite {self.suite} needs samples >= 1 and max_n >= {least_n}")
+        if self.max_n < least_n:
+            raise GraphInputError(f"{self.suite} needs max_n >= {least_n}")
         # SplitMix64 takes seeds mod 2**64: a larger one runs another's stream.
         if not 0 <= self.seed < 1 << 64:
             raise GraphInputError(f"seed must be in [0, 2**64), got {self.seed}")
         # Stored as a Fraction, so that equal values echo and rerun alike.
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        try:
+            object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise GraphInputError(f"epsilon is not a rational number: {self.epsilon!r}") from None
         if not 0 < self.epsilon < 1:
             raise GraphInputError(f"epsilon must be strictly between 0 and 1, got {self.epsilon}")
 
@@ -132,8 +129,17 @@ class Report:
 
 
 def run_suite(config: SuiteConfig) -> Report:
+    """Run the config's suite; a fault it raises ends the report in a failing record."""
     report = Report(suite=config.suite, config=config.echo())
-    _RUNNERS[config.suite](config, report)
+    try:
+        _SUITES[config.suite][0](config, report)
+    except (InvariantViolation, HypothesisViolation) as exc:
+        repro = _rerun_repro(config, config.samples, config.max_n)
+        if config.oracle_limit != ORACLE_LIMIT_DEFAULT:
+            repro += f" --oracle-limit {config.oracle_limit}"
+        if config.epsilon != Fraction(1, 2):
+            repro += f" --epsilon {config.epsilon}"
+        report.add(_record(False, repro, id=f"{config.suite}-fault", error=str(exc)))
     return report
 
 
@@ -268,22 +274,18 @@ def _run_bounds_general(config: SuiteConfig, report: Report) -> None:
 
 
 def _run_bounds_triple(config: SuiteConfig, report: Report) -> None:
-    produced = 0
+    # Skips delta > 11n/15, and draws no instance past the last one recorded.
     corpus = _random_corpus(replace(config, samples=config.samples * 8))
-    for params, g in corpus:
-        if produced >= config.samples:
-            break
+    eligible = ((params, g) for params, g in corpus if 15 * g.min_degree() <= 11 * g.n)
+    for idx, (params, g) in enumerate(itertools.islice(eligible, config.samples)):
         delta = g.min_degree()
-        if Fraction(delta) > Fraction(11 * g.n, 15):
-            continue
-        produced += 1
         cert = extract_triple(g)
         if cert.method == "triple":
             bound_ok = Fraction(cert.size) > Fraction(delta) - Fraction(g.n, 3)
         else:
             bound_ok = cert.size >= math.ceil(Fraction(2 * g.n, 5))
         _add_certificate_record(
-            report, config, f"bounds-triple-{produced - 1:04d}", params, g, cert,
+            report, config, f"bounds-triple-{idx:04d}", params, g, cert,
             bound_ok=bound_ok,
             witness_summary={"route": cert.witness.get("route")},
             repro=_repro(params, "c4free clique extract --method triple"),
@@ -394,15 +396,20 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
         ))
 
 
-_RUNNERS = {
-    "cycle-powers": _run_cycle_powers,
-    "bounds-general": _run_bounds_general,
-    "bounds-triple": _run_bounds_triple,
-    "large-alpha": _run_large_alpha,
-    "structure": _run_structure,
-    "checker-equiv": _run_checker_equiv,
+# suite: (runner, least max_n, samples, checks omega). Below the least max_n
+# a suite tests nothing: no graph below 4 vertices holds an induced C4, and
+# below n = 5 no record would test a clique against omega. A sampling suite
+# also needs samples >= 1; a suite that checks omega needs oracle_limit >= 5.
+_SUITES = {
+    "cycle-powers": (_run_cycle_powers, 5, False, True),
+    "bounds-general": (_run_bounds_general, 5, True, True),
+    "bounds-triple": (_run_bounds_triple, 5, True, True),
+    "large-alpha": (_run_large_alpha, 5, True, True),
+    "structure": (_run_structure, 5, True, False),
+    "checker-equiv": (_run_checker_equiv, 4, False, False),
 }
-SUITE_NAMES = tuple(_RUNNERS)
+SUITE_NAMES = tuple(_SUITES)
+OMEGA_CHECKED = tuple(name for name, row in _SUITES.items() if row[3])
 
 
 def _detectors_agree(g: Graph) -> bool:

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4free import build_graph, cycle_power, parse_graph, serialize_graph
-from c4free import cli
+from c4free import cli, suites
 from c4free.cli import main
+from c4free.graph import InvariantViolation
+from c4free.structure import HypothesisViolation
 from c4free.suites import SUITE_NAMES
 from helpers import complete, cycle, edges, path, relabelled_w5_blowup
 
@@ -74,6 +76,7 @@ class TestGen:
             (["cycle-power", "--k", "1024"], "cycle_power"),
             (["w5", "--sizes", "3997,20,20,20,20,20"], "w5_blowup"),
             (["substitute", "--base", "BASE", "--sizes", "4000,97"], "clique_substitution"),
+            (["random", "--n", "4097", "--p", "1/2", "--seed", "1"], "random_c4free"),
         ],
     )
     def test_size_cap_checked_before_building(
@@ -549,6 +552,40 @@ class TestVerify:
             "--seed", str(2**64 - 1),
         )
         assert code == 0 and out.startswith("checker-equiv: ")
+
+    @pytest.mark.parametrize("name, fault, call, suite, samples", [
+        ("extract_general", InvariantViolation, 3, "bounds-general", "5"),
+        ("alpha2_decompose", HypothesisViolation, 4, "structure", "6"),
+    ])
+    def test_fault_in_a_suite_ends_the_written_report(
+        self, capsys, monkeypatch, tmp_path, name, fault, call, suite, samples
+    ):
+        # The records made before the fault are kept, and the fault becomes a
+        # failing record whose repro reruns the suite.
+        real, calls = getattr(suites, name), []
+
+        def faulty(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == call:
+                raise fault("simulated fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(suites, name, faulty)
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--samples", samples, "--max-n", "12",
+            "--json", str(target),
+        )
+        repro = f"c4free verify --suite {suite} --seed 1 --samples {samples} --max-n 12"
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            f"{suite}: {call - 1}/{call} pass", f"FAIL {suite}-fault: repro: {repro}",
+        ]
+        report = json.loads(target.read_text())
+        assert [record["pass"] for record in report["records"]] == [True] * (call - 1) + [False]
+        assert report["records"][-1] == {
+            "id": f"{suite}-fault", "error": "simulated fault", "pass": False, "repro": repro,
+        }
 
     def test_epsilon_too_long_to_print_is_usage_error(self, capsys):
         code, out, err = run_cli(

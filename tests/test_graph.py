@@ -34,7 +34,6 @@ from c4free.graph import (
     _bipartition,
     _co_rows,
     _graph_of,
-    _has_triangle,
     _lex_clique,
     _mask_of,
     _scan_induced_c4,
@@ -526,7 +525,6 @@ class TestAgainstReferences:
 
     def test_petersen_graph_has_odd_girth_five(self):
         g = petersen()
-        assert not _has_triangle(g.adj)
         got = _shortest_odd_cycle(g)
         assert len(got) == 5
         assert got == reference_shortest_odd_cycle(g)
@@ -537,9 +535,9 @@ class TestAgainstReferences:
         assert reference_shortest_odd_cycle(g) == (9, 10, 11, 12, 13)
 
     def test_both_stopping_rules_fire(self, monkeypatch):
-        # Sources 1..6 of the C7 are cut once their walks reach length 7;
-        # the C5's first source finds length 5 in a triangle-free graph, and
-        # the search ends there without trying sources 8..11.
+        # Sources 1..6 of the C7 are cut once their walks reach length 7; the
+        # C5's first source finds length 5, and sources 8..11 are cut there.
+        # Only a triangle ends the search early.
         g = disjoint_union(cycle(7), cycle(5))
         sources = []
         walk = graph_module._least_odd_walk
@@ -550,7 +548,8 @@ class TestAgainstReferences:
 
         monkeypatch.setattr(graph_module, "_least_odd_walk", counted)
         assert _shortest_odd_cycle(g) == (7, 8, 9, 10, 11)
-        assert sources == [(0, 24)] + [(s, 7) for s in range(1, 8)]
+        expected = [(0, 24)] + [(s, 7) for s in range(1, 8)] + [(s, 5) for s in range(8, 12)]
+        assert sources == expected
         assert reference_shortest_odd_cycle(g) == (7, 8, 9, 10, 11)
 
     def test_a_tie_keeps_the_first_source(self):
@@ -646,7 +645,6 @@ class TestMaskedBipartition:
         if isinstance(whole, OddCycle):
             assert got == whole
             assert _shortest_odd_cycle(h, mask) == whole.vertices
-            assert _has_triangle(h.adj, mask) == _has_triangle(h.adj)
         else:
             assert [_mask_of(part) & mask for part in whole] == list(got)
             assert got[0] | got[1] == mask and not got[0] & got[1]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from c4free import GraphInputError, Report, SuiteConfig, run_suite
-from c4free import suites
+from c4free import cli, suites
+from c4free.graph import InvariantViolation
 from c4free.suites import OMEGA_CHECKED, SUITE_NAMES, _random_corpus
 from helpers import reference_random_corpus
 from test_golden_reports import GOLDEN_FAILING
@@ -132,6 +134,12 @@ class TestRunSuite:
         with pytest.raises(GraphInputError, match=message):
             _config(suite, epsilon=epsilon)
 
+    @pytest.mark.parametrize("epsilon", ["abc", "1/0", None])
+    def test_non_rational_epsilon_refused_when_built(self, epsilon):
+        message = rf"^epsilon is not a rational number: {re.escape(repr(epsilon))}$"
+        with pytest.raises(GraphInputError, match=message):
+            SuiteConfig("large-alpha", 1, 3, 12, epsilon=epsilon)
+
     def test_epsilon_affects_large_alpha_config(self):
         report = run_suite(_config("large-alpha", samples=3, epsilon=Fraction(1, 4)))
         assert report.config["epsilon"] == "1/4"
@@ -151,6 +159,46 @@ class TestRunSuite:
         assert len(report.records) == 3 and all(
             f"--epsilon {Fraction(0.1)} -" in record["repro"] for record in report.records
         )
+
+    @pytest.mark.parametrize("samples", [1, 5, 30])
+    def test_bounds_triple_draws_no_graph_past_its_last_record(self, monkeypatch, samples):
+        # Every graph the corpus builds is recorded or refused by the
+        # delta <= 11n/15 filter; none is built after the last record.
+        built, real = [], suites.random_c4free
+
+        def spy(*args, **kwargs):
+            g = real(*args, **kwargs)
+            if g is not None:
+                built.append(g)
+            return g
+
+        monkeypatch.setattr(suites, "random_c4free", spy)
+        report = run_suite(SuiteConfig("bounds-triple", 1, samples, 30))
+        eligible = [(g.n, g.min_degree()) for g in built if 15 * g.min_degree() <= 11 * g.n]
+        assert eligible == [(r["n"], r["min_degree"]) for r in report.records]
+        assert len(eligible) == samples
+
+    def test_fault_becomes_the_last_record(self, monkeypatch):
+        # The repro names every option that differs from its default, so it
+        # parses back to the config that failed.
+        def fault(*args):
+            raise InvariantViolation("simulated fault")
+
+        monkeypatch.setattr(suites, "extract_large_alpha", fault)
+        config = SuiteConfig("large-alpha", 7, 3, 12, oracle_limit=20, epsilon=Fraction(1, 3))
+        repro = (
+            "c4free verify --suite large-alpha --seed 7 --samples 3 --max-n 12 "
+            "--oracle-limit 20 --epsilon 1/3"
+        )
+        report = run_suite(config)
+        assert report.records == [
+            {"id": "large-alpha-fault", "error": "simulated fault", "pass": False, "repro": repro},
+        ]
+        args = cli._parser().parse_args(repro.split()[1:])
+        rerun = SuiteConfig(
+            args.suite, args.seed, args.samples, args.max_n, args.oracle_limit, args.epsilon
+        )
+        assert rerun == config
 
 
 class TestRandomCorpus:
