@@ -12,6 +12,7 @@ import functools
 import json
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -171,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "regular", "general", "triple", "large-alpha"],
         default="auto",
     )
-    p.add_argument("--epsilon", default="1/2")
+    # Absent unless given, so that a method it does not apply to can refuse it.
+    p.add_argument("--epsilon", default=argparse.SUPPRESS)
     p.add_argument("--independent-set", type=_sizes_list, default=None)
     p.add_argument(
         "--dirac",
@@ -252,6 +254,8 @@ def _cmd_clique(args: argparse.Namespace) -> int:
         raise GraphInputError("--exact-alpha applies to the general method only")
     if args.independent_set is not None and method not in ("large-alpha", "dirac"):
         raise GraphInputError("--independent-set applies to the large-alpha method only")
+    if hasattr(args, "epsilon") and method not in ("large-alpha", "dirac"):
+        raise GraphInputError("--epsilon applies to the large-alpha method only")
     if method == "regular":
         cert = extract_regular(g)
     elif method == "general":
@@ -264,10 +268,8 @@ def _cmd_clique(args: argparse.Namespace) -> int:
         members = args.independent_set
         if members is None:
             members = list(greedy_maximal_independent_set(g))
-        if method == "dirac":
-            cert = extract_dirac(g, members, args.epsilon)
-        else:
-            cert = extract_large_alpha(g, members, args.epsilon)
+        extract = extract_dirac if method == "dirac" else extract_large_alpha
+        cert = extract(g, members, getattr(args, "epsilon", Fraction(1, 2)))
     _print_json(cert.to_json_dict(g))
     return EXIT_OK
 
@@ -285,16 +287,8 @@ def _cmd_structure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n > CLI_VERTEX_LIMIT:
-        raise GraphInputError(f"--max-n must be at most {CLI_VERTEX_LIMIT}, got {args.max_n}")
-    config = SuiteConfig(
-        suite=args.suite,
-        seed=args.seed,
-        samples=args.samples,
-        max_n=args.max_n,
-        oracle_limit=args.oracle_limit,
-        epsilon=args.epsilon,
-    )
+    # Each verify option is named after the SuiteConfig field it sets.
+    config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
     # The report file is opened before the suite runs, so a bad path costs no
     # suite work; append mode keeps an existing file until the report is written.
     with contextlib.ExitStack() as stack:
@@ -324,6 +318,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in ("p", "epsilon"):
             if hasattr(args, name):
                 setattr(args, name, _rational(f"--{name}", getattr(args, name)))
+        # verify's suites draw graphs of up to max_n vertices.
+        if getattr(args, "max_n", 0) > CLI_VERTEX_LIMIT:
+            raise GraphInputError(f"--max-n must be at most {CLI_VERTEX_LIMIT}, got {args.max_n}")
         return args.run(args)
     except (GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

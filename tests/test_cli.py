@@ -259,6 +259,34 @@ class TestClique:
             2, "", "error: --independent-set applies to the large-alpha method only\n"
         )
 
+    @pytest.mark.parametrize(
+        "method", [(), ("--method", "auto"), ("--method", "regular"), ("--method", "general"),
+                   ("--method", "triple")],
+    )
+    def test_epsilon_outside_large_alpha_is_usage_error(self, capsys, tmp_path, method):
+        # Refused rather than ignored: no certificate here depends on epsilon.
+        f = tmp_path / "c5.txt"
+        f.write_text(serialize_graph(cycle(5)))
+        argv = ("clique", "extract", str(f), *method, "--epsilon", "1/3")
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: --epsilon applies to the large-alpha method only\n"
+        )
+
+    def test_large_alpha_still_checks_epsilon(self, capsys, tmp_path):
+        f = tmp_path / "c5.txt"
+        f.write_text(serialize_graph(cycle(5)))
+        argv = ("clique", "extract", str(f), "--method", "large-alpha", "--epsilon", "0")
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: epsilon must be strictly between 0 and 1, got 0\n"
+        )
+
+    @pytest.mark.parametrize("method", [("--method", "large-alpha"), ("--dirac",)])
+    def test_epsilon_defaults_to_one_half(self, capsys, tmp_path, method):
+        f = tmp_path / "c5.txt"
+        f.write_text(serialize_graph(cycle(5)))
+        code, out, _ = run_cli(capsys, "clique", "extract", str(f), *method)
+        assert code == 0 and json.loads(out)["witness"]["epsilon"] == "1/2"
+
     def test_auto_on_a_regular_graph_refuses_independent_set(self, capsys, tmp_path):
         f = tmp_path / "cp.txt"
         f.write_text(serialize_graph(cycle_power(2)))
@@ -690,7 +718,8 @@ def cli_argvs(draw, files):
         argv.append(graph_file)
         method = ["auto", "regular", "general", "triple", "large-alpha"]
         argv += ["--method", draw(st.sampled_from(method))]
-        argv += ["--epsilon", draw(_either(RATIONALS))]
+        if draw(st.booleans()):
+            argv += ["--epsilon", draw(_either(RATIONALS))]
         if draw(st.booleans()):
             argv += ["--independent-set", draw(_either(SIZE_LISTS))]
         argv += sorted(draw(st.sets(st.sampled_from(["--dirac", "--exact-alpha"]))))

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
 import re
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 from c4free import GraphInputError, Report, SuiteConfig, run_suite
-from c4free import cli, suites
+from c4free import cli, serialize_graph, suites
 from c4free.graph import InvariantViolation
 from c4free.suites import OMEGA_CHECKED, SUITE_NAMES, _random_corpus
 from helpers import reference_random_corpus
@@ -16,6 +18,16 @@ from test_golden_reports import GOLDEN_FAILING
 RECORD_KEYS = {
     "id", "generator", "n", "min_degree", "method", "bound", "clique_size", "omega",
     "pass", "witness_summary",
+}
+
+
+# suite: the function of c4free.suites that takes each recorded instance first.
+INSTANCE_TAKERS = {
+    "cycle-powers": "extract_regular",
+    "bounds-general": "extract_general",
+    "bounds-triple": "extract_triple",
+    "large-alpha": "extract_large_alpha",
+    "structure": "alpha2_decompose",
 }
 
 
@@ -254,3 +266,49 @@ class TestFailureRecords:
         for record in records:
             assert set(record) - {"repro"} == RECORD_KEYS
             assert ("repro" in record) == (not record["pass"])
+
+    @pytest.mark.parametrize("options", [{}, {"oracle_limit": 5, "epsilon": Fraction(1, 3)}])
+    @pytest.mark.parametrize("suite", sorted(GOLDEN_FAILING))
+    def test_every_repro_is_a_command_that_rebuilds_its_record(
+        self, capsys, monkeypatch, suite, options
+    ):
+        # A verify repro parses back to the config that made its record and
+        # runs; a pipeline repro regenerates the record's instance and the
+        # command it feeds accepts it.
+        name, result, samples, max_n, _ = GOLDEN_FAILING[suite]
+        monkeypatch.setattr(suites, name, lambda *args: result)
+        instances = []
+        if suite in INSTANCE_TAKERS:
+            real = getattr(suites, INSTANCE_TAKERS[suite])
+
+            def spy(g, *args):
+                instances.append(g)
+                return real(g, *args)
+
+            monkeypatch.setattr(suites, INSTANCE_TAKERS[suite], spy)
+        config = SuiteConfig(suite, 1, samples, max_n, **options)
+        records = run_suite(config).records
+        assert records and not any(record["pass"] for record in records)
+        assert len(instances) in (0, len(records))
+        reruns = set()
+        for idx, record in enumerate(records):
+            if record["repro"].startswith("c4free verify "):
+                argv = record["repro"].split()[1:]
+                args = cli._parser().parse_args(argv)
+                rerun = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
+                if record["id"].startswith("checker-equiv-exhaustive-"):
+                    assert rerun == replace(config, samples=0, max_n=max(record["n"], 4))
+                else:
+                    assert rerun == config
+                reruns.add(tuple(argv))
+                continue
+            gen, command = record["repro"].split(" | ")
+            assert cli.main(gen.split()[1:]) == 0
+            text = capsys.readouterr().out
+            assert text == serialize_graph(instances[idx])
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert cli.main(command.split()[1:]) in (0, 1)
+            capsys.readouterr()
+        for argv in reruns:
+            assert cli.main(list(argv)) in (0, 1), argv
+            capsys.readouterr()
